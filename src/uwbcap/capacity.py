@@ -17,6 +17,10 @@ Whatever the model, capacity is capped by the ``multiplier / d_RMS``
 asymptote: no amount of bandwidth or clock speed beats the channel's own
 temporal dispersion.
 
+Each formula has one kernel of arithmetic operators, shared by the scalar
+functions and by ``capacity_grid`` (a whole grid in one numpy broadcast),
+so the two agree bit for bit.
+
 All quantities are SI (seconds, hertz, bits per second).  Every function
 here is a pure function of its arguments and safe to call concurrently.
 """
@@ -24,11 +28,18 @@ here is a pure function of its arguments and safe to call concurrently.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .units import db_to_linear, linear_to_db
 
+IDEAL = "ideal"
+BINARY = "binary"
 MOSTLY_DIGITAL = "mostly_digital"
 MIXED = "mixed"
+MODES = (IDEAL, BINARY, MOSTLY_DIGITAL, MIXED)
+#: What ``capacity_grid`` can evaluate at each grid point.
+OUTPUTS = ("capacity", "derivative", "percent_of_max")
 
 #: M-ary multiplier conventions.  "paper" multiplies the binary rate by
 #: M - 1, which is what the reproduced survey tables use; "log2" is the
@@ -204,15 +215,31 @@ class CapacityResult:
         return out
 
 
+def _symbol_rate(multiplier, overhead, d):
+    # multiplier last, so that M-ary capacity scales exactly; overhead 0
+    # gives the asymptote
+    return multiplier * (1.0 / (overhead + d))
+
+
+def _derivative(overhead, frequency, d):
+    span = overhead + d
+    # span * span, not span ** 2: numpy squares arrays by multiplying, while
+    # float ** 2 calls libm pow, which can differ in the last bit
+    return (overhead / frequency) / (span * span)
+
+
+def _fraction_of_max(overhead, d):
+    return d / (overhead + d)
+
+
 def _half_log_factor(snr: SnrValue) -> float:
     return 0.5 * math.log2(1.0 + snr.linear_ratio)
 
 
-def _result(base_rate, multiplier, d, echo, notes=()):
-    # rate is multiplier * base so that M-ary capacity scales exactly.
-    asymptote_ = math.inf if d.value == 0 else multiplier * (1.0 / d.value)
+def _result(multiplier, overhead, d, echo, notes=()):
+    asymptote_ = math.inf if d.value == 0 else _symbol_rate(multiplier, 0.0, d.value)
     return CapacityResult(
-        rate=multiplier * base_rate,
+        rate=_symbol_rate(multiplier, overhead, d.value),
         limiting_asymptote=asymptote_,
         inputs_echo=echo,
         notes=tuple(notes),
@@ -235,7 +262,6 @@ def ideal_capacity(pulse: PulseSpec, d: DelaySpread, snr: SnrValue) -> CapacityR
                unbounded).
         snr:   linear signal-to-noise ratio.
     """
-    base = 1.0 / (pulse.duration + d.value)
     factor = _half_log_factor(snr)
     notes = []
     if snr.db < SNR_VALIDITY_FLOOR_DB:
@@ -250,7 +276,7 @@ def ideal_capacity(pulse: PulseSpec, d: DelaySpread, snr: SnrValue) -> CapacityR
         "snr_linear": snr.linear_ratio,
         "snr_db": snr.db,
     }
-    return _result(base, factor, d, echo, notes)
+    return _result(factor, pulse.duration, d, echo, notes)
 
 
 def binary_capacity(pulse: PulseSpec, d: DelaySpread) -> CapacityResult:
@@ -259,13 +285,12 @@ def binary_capacity(pulse: PulseSpec, d: DelaySpread) -> CapacityResult:
     Equals ``ideal_capacity`` at SNR = 3 (linear), where the Shannon factor
     is exactly one bit per symbol.
     """
-    base = 1.0 / (pulse.duration + d.value)
     echo = {
         "pulse_duration_s": pulse.duration,
         "bandwidth_hz": pulse.bandwidth,
         "rms_delay_spread_s": d.value,
     }
-    return _result(base, 1.0, d, echo)
+    return _result(1.0, pulse.duration, d, echo)
 
 
 def _modulation_echo(m: ModulationScheme) -> dict:
@@ -298,14 +323,14 @@ def mostly_digital_capacity(
     signal's maximum frequency, so the pulse can be no shorter than
     n_sampling / F_s.  With M = 2 the multiplier is 1.
     """
-    base = 1.0 / (s.sampling_factor / s.sampling_frequency + d.value)
     echo = {
         "sampling_frequency_hz": s.sampling_frequency,
         "sampling_factor": s.sampling_factor,
         "rms_delay_spread_s": d.value,
     }
     echo.update(_modulation_echo(m))
-    return _result(base, m.multiplier, d, echo, _modulation_notes(m))
+    overhead = s.sampling_factor / s.sampling_frequency
+    return _result(m.multiplier, overhead, d, echo, _modulation_notes(m))
 
 
 def mixed_capacity(
@@ -321,13 +346,12 @@ def mixed_capacity(
     the pulse generator and both front-ends) matters; it bounds the pulse
     duration at 1 / F_circuit.
     """
-    base = 1.0 / (1.0 / f.value + d.value)
     echo = {
         "circuit_frequency_hz": f.value,
         "rms_delay_spread_s": d.value,
     }
     echo.update(_modulation_echo(m))
-    return _result(base, m.multiplier, d, echo, _modulation_notes(m))
+    return _result(m.multiplier, 1.0 / f.value, d, echo, _modulation_notes(m))
 
 
 def asymptote(d: DelaySpread, m: ModulationScheme | None = None) -> float:
@@ -339,7 +363,7 @@ def asymptote(d: DelaySpread, m: ModulationScheme | None = None) -> float:
     if d.value == 0:
         raise DomainError("asymptote is unbounded when the delay spread is zero")
     multiplier = 1.0 if m is None else m.multiplier
-    return multiplier * (1.0 / d.value)
+    return _symbol_rate(multiplier, 0.0, d.value)
 
 
 def _overhead_factor(mode: str, sampling_factor) -> float:
@@ -375,8 +399,7 @@ def capacity_derivative(
     if frequency <= 0:
         raise ValueError("frequency must be > 0 Hz")
     n = _overhead_factor(mode, sampling_factor)
-    overhead = n / frequency
-    return (overhead / frequency) / (overhead + d.value) ** 2
+    return _derivative(n / frequency, frequency, d.value)
 
 
 def percent_of_max(
@@ -401,7 +424,7 @@ def percent_of_max(
             "(the asymptote is unbounded)"
         )
     n = _overhead_factor(mode, sampling_factor)
-    return d.value / (n / frequency + d.value)
+    return _fraction_of_max(n / frequency, d.value)
 
 
 def required_frequency(
@@ -428,3 +451,86 @@ def required_frequency(
         )
     n = _overhead_factor(mode, sampling_factor)
     return n * target_fraction / (d.value * (1.0 - target_fraction))
+
+
+def _check_point(mode, f, d, n, modulation, snr, outputs) -> None:
+    """Evaluate one grid point through the scalar functions, in the order a
+    point-by-point sweep calls them, so that they raise what they raise."""
+    if "capacity" in outputs:
+        if mode == IDEAL:
+            ideal_capacity(PulseSpec.from_bandwidth(f), d, snr)
+        elif mode == BINARY:
+            binary_capacity(PulseSpec.from_bandwidth(f), d)
+        elif mode == MOSTLY_DIGITAL:
+            mostly_digital_capacity(SamplingConfig(f, n), d, modulation)
+        else:
+            mixed_capacity(CircuitFrequency(f), d, modulation)
+    ratio_mode = MOSTLY_DIGITAL if mode == MOSTLY_DIGITAL else MIXED
+    if "derivative" in outputs:
+        capacity_derivative(ratio_mode, f, d, n)
+    if "percent_of_max" in outputs:
+        percent_of_max(ratio_mode, f, d, n)
+
+
+def capacity_grid(
+    mode: str,
+    frequencies,
+    delay_spreads,
+    sampling_factors=(),
+    modulation: ModulationScheme = ModulationScheme(),
+    snr: SnrValue | None = None,
+    outputs=("capacity",),
+) -> dict:
+    """Evaluate a model over a whole delay-spread x sampling-factor x frequency grid.
+
+    One numpy broadcast through the scalar functions' kernels: entry
+    ``[i, j, k]`` of each requested output -- "capacity" (the mode's capacity
+    ``rate``), "derivative" (``capacity_derivative``), "percent_of_max" --
+    equals, bit for bit, the scalar result at ``delay_spreads[i]``,
+    ``sampling_factors[j]`` (mostly_digital only; other modes have one slot)
+    and ``frequencies[k]``.  Ideal and binary grids take the mixed
+    parameterization for the last two outputs.  ``snr`` (ideal, default
+    linear 3) and ``modulation`` (mostly_digital, mixed) set the multiplier.
+
+    Raises what the scalar calls raise at the first point, in (d, n, F)
+    order, that they reject: the points a vectorised screen flags (F not
+    positive and finite, n < 2, d = 0 with percent_of_max, capacity outside
+    (0, asymptote]) are re-run through the scalar functions.
+
+    Returns:
+        output name -> array of shape (len(d), len(n) or 1, len(F)).
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if any(o not in OUTPUTS for o in outputs):
+        raise ValueError(f"outputs must be a subset of {OUTPUTS}")
+    digital = mode == MOSTLY_DIGITAL
+    if snr is None:
+        snr = SnrValue(BINARY_SNR_LINEAR)
+    multiplier = {IDEAL: _half_log_factor(snr), BINARY: 1.0}.get(mode, modulation.multiplier)
+    factors = tuple(sampling_factors) if digital else (None,)
+
+    f = np.asarray(frequencies, dtype=float)
+    d = np.array([x.value for x in delay_spreads], dtype=float)[:, None, None]
+    n = np.array([1.0 if x is None else x for x in factors], dtype=float)[None, :, None]
+    shape = (d.shape[0], n.shape[1], f.size)
+    with np.errstate(all="ignore"):
+        overhead = n / f
+        values = {}
+        suspect = ~((f > 0) & np.isfinite(f))
+        if digital:
+            suspect = suspect | ~(n >= 2)
+        if "capacity" in outputs:
+            rate = _symbol_rate(multiplier, overhead, d)
+            values["capacity"] = rate
+            suspect = suspect | ~(rate > 0) | (rate > _symbol_rate(multiplier, 0.0, d))
+        if "derivative" in outputs:
+            values["derivative"] = _derivative(overhead, f, d)
+        if "percent_of_max" in outputs:
+            values["percent_of_max"] = _fraction_of_max(overhead, d)
+            suspect = suspect | (d == 0)
+    for i, j, k in np.argwhere(np.broadcast_to(suspect, shape)):
+        _check_point(
+            mode, float(f[k]), delay_spreads[i], factors[j], modulation, snr, outputs
+        )
+    return values

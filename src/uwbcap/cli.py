@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 domain error.
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import sys
@@ -304,7 +303,7 @@ def _emit_result(result: cap.CapacityResult, args) -> int:
         elif args.format == "csv":
             flat = dict(payload)
             flat["notes"] = "; ".join(flat["notes"])
-            _write_csv_row(flat, stream)
+            explorer.emit_csv([flat], stream)
         else:
             asym = payload["limiting_asymptote_bit_s"]
             asym_text = (
@@ -318,14 +317,6 @@ def _emit_result(result: cap.CapacityResult, args) -> int:
             for note in result.notes:
                 stream.write(f"note: {note}\n")
     return EXIT_OK
-
-
-def _write_csv_row(flat: dict, stream) -> None:
-    writer = csv.DictWriter(stream, fieldnames=list(flat), lineterminator="\n")
-    writer.writeheader()
-    writer.writerow(
-        {k: (f"{v:.10g}" if isinstance(v, float) else v) for k, v in flat.items()}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +436,7 @@ def cmd_validate_isi(args) -> int:
             json.dump([r.to_dict() for r in reports], stream, indent=2)
             stream.write("\n")
         elif args.format == "csv":
-            dicts = [r.to_dict() for r in reports]
-            writer = csv.DictWriter(stream, fieldnames=list(dicts[0]), lineterminator="\n")
-            writer.writeheader()
-            for row in dicts:
-                writer.writerow({k: (f"{v:.10g}" if isinstance(v, float) else v)
-                                 for k, v in row.items()})
+            explorer.emit_csv([r.to_dict() for r in reports], stream)
         else:
             _human_table([r.to_dict() for r in reports], stream)
     return EXIT_OK

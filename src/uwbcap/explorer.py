@@ -6,15 +6,19 @@ frequency, to reproduce the two published reference data-rate tables
 (mostly digital: table iv; mixed: table vii), and to score surveyed data
 converters against channel environments.
 
-Every capacity emitted here is a direct call into :mod:`uwbcap.capacity`;
-this module adds grids and bookkeeping, never arithmetic.  Machine output
-is serialized at 10 significant digits, the precision the reference tables
-are printed at.
+Every capacity emitted here is a direct call into :mod:`uwbcap.capacity`
+(a sweep is one ``capacity_grid`` call over its whole grid, returned as a
+columnar ``SweepTable``); this module adds grids and bookkeeping, never
+arithmetic.  Machine output is serialized at 10 significant digits, the
+precision the reference tables are printed at, by one column formatter
+shared by CSV and JSON.
 """
 
-import csv
+import dataclasses
 import io
 import json
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +26,9 @@ import numpy as np
 from . import capacity as cap
 from . import datasets
 
-MODES = ("ideal", "binary", cap.MOSTLY_DIGITAL, cap.MIXED)
+MODES = cap.MODES
 SWEPT_PARAMETERS = ("bandwidth", "sampling_frequency", "circuit_frequency")
-OUTPUTS = ("capacity", "derivative", "percent_of_max")
+OUTPUTS = cap.OUTPUTS
 LINEAR = "linear"
 LOGARITHMIC = "logarithmic"
 
@@ -37,8 +41,8 @@ DEFAULT_MIXED_RANGE_HZ = (1e9, 60e9)
 DEFAULT_DIGITAL_RANGE_HZ = (1e8, 1e11)
 
 _MODE_PARAMETER = {
-    "ideal": "bandwidth",
-    "binary": "bandwidth",
+    cap.IDEAL: "bandwidth",
+    cap.BINARY: "bandwidth",
     cap.MOSTLY_DIGITAL: "sampling_frequency",
     cap.MIXED: "circuit_frequency",
 }
@@ -107,84 +111,77 @@ class SweepPoint:
 
     frequency_hz: float
     rms_delay_spread_s: float
-    sampling_factor: float | None
+    sampling_factor: float | None = None
     capacity_bit_s: float | None = None
     derivative_bit_s_per_hz: float | None = None
     percent_of_max: float | None = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "frequency_hz": self.frequency_hz,
-            "rms_delay_spread_s": self.rms_delay_spread_s,
-        }
-        if self.sampling_factor is not None:
-            out["sampling_factor"] = self.sampling_factor
-        if self.capacity_bit_s is not None:
-            out["capacity_bit_s"] = self.capacity_bit_s
-        if self.derivative_bit_s_per_hz is not None:
-            out["derivative_bit_s_per_hz"] = self.derivative_bit_s_per_hz
-        if self.percent_of_max is not None:
-            out["percent_of_max"] = self.percent_of_max
-        return out
+
+class SweepTable(Sequence):
+    """Columnar result of ``run_sweep``.
+
+    ``columns`` maps the ``SweepPoint`` fields the sweep produced, in field
+    order, to equal-length 1-D float arrays, one entry per row.  The table
+    still behaves as a sequence of rows: ``len``, indexing and iteration
+    give ``SweepPoint`` values (unproduced fields None).
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return SweepPoint(
+            **{name: column[index].item() for name, column in self.columns.items()}
+        )
+
+    def __iter__(self):
+        names = list(self.columns)
+        for values in zip(*(column.tolist() for column in self.columns.values())):
+            yield SweepPoint(**dict(zip(names, values)))
 
 
-def _sweep_capacity(spec: SweepSpec, f: float, d: cap.DelaySpread, n) -> float:
-    if spec.mode == "ideal":
-        snr = spec.snr if spec.snr is not None else cap.SnrValue(cap.BINARY_SNR_LINEAR)
-        return cap.ideal_capacity(cap.PulseSpec.from_bandwidth(f), d, snr).rate
-    if spec.mode == "binary":
-        return cap.binary_capacity(cap.PulseSpec.from_bandwidth(f), d).rate
-    if spec.mode == cap.MOSTLY_DIGITAL:
-        return cap.mostly_digital_capacity(
-            cap.SamplingConfig(f, n), d, spec.modulation
-        ).rate
-    return cap.mixed_capacity(cap.CircuitFrequency(f), d, spec.modulation).rate
+#: SweepPoint field of each capacity_grid output, in SweepPoint field order.
+_OUTPUT_FIELDS = {
+    "capacity": "capacity_bit_s",
+    "derivative": "derivative_bit_s_per_hz",
+    "percent_of_max": "percent_of_max",
+}
 
 
-def _ratio_mode(mode: str) -> tuple:
-    """Map a sweep mode onto the (mode, needs_n) pair the ratio ops accept."""
-    if mode == cap.MOSTLY_DIGITAL:
-        return cap.MOSTLY_DIGITAL, True
-    # binary and ideal sweeps share the mixed parameterization: the
-    # frequency knob enters as 1/F either way.
-    return cap.MIXED, False
-
-
-def run_sweep(spec: SweepSpec) -> list:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate a sweep on its full grid.
 
-    Returns one ``SweepPoint`` per (delay spread, sampling factor, grid
-    frequency), in that nesting order, so each (d, n) block is a single
+    Returns a columnar ``SweepTable`` that indexes and iterates as one
+    ``SweepPoint`` per (delay spread, sampling factor, grid frequency), in
+    that nesting order, so each (d, n) block is a single
     ascending-frequency curve.  Row count is
-    points * len(delay_spreads) * max(len(sampling_factors), 1).
+    points * len(delay_spreads) * max(len(sampling_factors), 1).  Binary
+    and ideal sweeps take the derivative and percent_of_max of the mixed
+    parameterization: the frequency knob enters as 1/F either way.
     """
-    factors = spec.sampling_factors if spec.mode == cap.MOSTLY_DIGITAL else (None,)
-    ratio_mode, needs_n = _ratio_mode(spec.mode)
-    rows = []
-    for d in spec.delay_spreads:
-        for n in factors:
-            for f in spec.grid():
-                f = float(f)
-                values = {}
-                if "capacity" in spec.outputs:
-                    values["capacity_bit_s"] = _sweep_capacity(spec, f, d, n)
-                if "derivative" in spec.outputs:
-                    values["derivative_bit_s_per_hz"] = cap.capacity_derivative(
-                        ratio_mode, f, d, n if needs_n else None
-                    )
-                if "percent_of_max" in spec.outputs:
-                    values["percent_of_max"] = cap.percent_of_max(
-                        ratio_mode, f, d, n if needs_n else None
-                    )
-                rows.append(
-                    SweepPoint(
-                        frequency_hz=f,
-                        rms_delay_spread_s=d.value,
-                        sampling_factor=None if n is None else float(n),
-                        **values,
-                    )
-                )
-    return rows
+    grid = spec.grid()
+    values = cap.capacity_grid(
+        spec.mode, grid, spec.delay_spreads, spec.sampling_factors,
+        spec.modulation, spec.snr, spec.outputs,
+    )
+    shape = (len(spec.delay_spreads), max(len(spec.sampling_factors), 1), len(grid))
+    delays = np.array([d.value for d in spec.delay_spreads])
+    columns = {
+        "frequency_hz": np.broadcast_to(grid, shape),
+        "rms_delay_spread_s": np.broadcast_to(delays[:, None, None], shape),
+    }
+    if spec.sampling_factors:
+        factors = np.array(spec.sampling_factors, dtype=float)
+        columns["sampling_factor"] = np.broadcast_to(factors[None, :, None], shape)
+    for output, field in _OUTPUT_FIELDS.items():
+        if output in values:
+            columns[field] = values[output]
+    return SweepTable({name: column.ravel() for name, column in columns.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +198,6 @@ class ScenarioRow:
     sampling_factor: float | None
     modulation_order: int
     capacity_mbit_s: float
-
-    def to_dict(self) -> dict:
-        out = {
-            "environment": self.environment,
-            "rms_delay_spread_s": self.rms_delay_spread_s,
-            "frequency_hz": self.frequency_hz,
-        }
-        if self.sampling_factor is not None:
-            out["sampling_factor"] = self.sampling_factor
-        out["modulation_order"] = self.modulation_order
-        out["capacity_mbit_s"] = self.capacity_mbit_s
-        return out
 
 
 #: Printed values of reference table iv: (environment, d_RMS ns,
@@ -397,17 +382,6 @@ class MarketPoint:
     sampling_factor: float
     capacity_mbit_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "designer": self.designer,
-            "source": self.source,
-            "sampling_frequency_hz": self.sampling_frequency_hz,
-            "environment": self.environment,
-            "rms_delay_spread_s": self.rms_delay_spread_s,
-            "sampling_factor": self.sampling_factor,
-            "capacity_mbit_s": self.capacity_mbit_s,
-        }
-
 
 def market_capacity_points(
     sampling_factor: float = 4.0,
@@ -498,38 +472,109 @@ def default_circuit_sweep(points: int = 200, delay_spreads_s=(1e-9, 5e-9, 10e-9)
 # Emission
 # ---------------------------------------------------------------------------
 
-def _ten_digits(value):
-    if isinstance(value, float):
-        return float(f"{value:.10g}")
-    return value
+#: Rows formatted and written per stream write: bounds the text held in
+#: memory whatever the sweep size.
+_CHUNK_ROWS = 4096
 
 
 def rows_to_dicts(rows) -> list:
-    """Rows (anything with ``to_dict``) to plain dicts, stable field order."""
-    return [row.to_dict() for row in rows]
+    """Dataclass rows to plain dicts in field order, None fields left out;
+    dict rows pass through."""
+    return [
+        row if isinstance(row, dict)
+        else {k: v for k, v in dataclasses.asdict(row).items() if v is not None}
+        for row in rows
+    ]
+
+
+def _columns(rows) -> dict:
+    """Column name -> values; the first row's fields name the columns."""
+    if isinstance(rows, SweepTable):
+        return rows.columns
+    dicts = rows_to_dicts(rows)
+    names = list(dicts[0]) if dicts else []
+    return {name: [row.get(name) for row in dicts] for name in names}
+
+
+_TEN_DIGITS = "{:.10g}".format
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return _TEN_DIGITS(value)
+    text = "" if value is None else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_floats(values: np.ndarray) -> list:
+    return list(map(_TEN_DIGITS, values.tolist()))
+
+
+def _json_cell(value) -> str:
+    # json writes finite floats as float.__repr__
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(float(_TEN_DIGITS(value)))
+    return json.dumps(value)
+
+
+def _json_floats(values: np.ndarray) -> list:
+    if np.isfinite(values).all():
+        return list(map(repr, map(float, map(_TEN_DIGITS, values.tolist()))))
+    return list(map(_json_cell, values.tolist()))
+
+
+def _cells(values, cell, floats) -> list:
+    """One column's formatted cells: a float array through ``floats``, once
+    per distinct value (bit pattern), since the grid, d_RMS and n columns
+    repeat every value many times; anything else cell by cell."""
+    if isinstance(values, np.ndarray):
+        bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
+        bits, index = np.unique(bits, return_inverse=True)
+        text = np.array(floats(bits.view(np.float64)), dtype=object)
+        return text[index.ravel()].tolist()
+    return [cell(v) for v in values]
+
+
+def _write_rows(columns, stream, cell, floats, template, separator) -> None:
+    """Write ``template % row`` per row, ``separator`` between rows, in
+    chunks of ``_CHUNK_ROWS`` rows."""
+    cells = [_cells(values, cell, floats) for values in columns.values()]
+    for start in range(0, len(cells[0]), _CHUNK_ROWS):
+        if start:
+            stream.write(separator)
+        chunk = zip(*(column[start : start + _CHUNK_ROWS] for column in cells))
+        stream.write(separator.join(map(template.__mod__, chunk)))
 
 
 def emit_csv(rows, stream) -> None:
-    """Write rows as CSV: header plus one line per row, floats at 10
-    significant digits, SI units annotated in the column names."""
-    dicts = rows_to_dicts(rows)
-    if not dicts:
+    """Write a ``SweepTable`` or a list of rows as CSV: header plus one line
+    per row, floats at 10 significant digits, SI units annotated in the
+    column names.  An empty row list writes nothing."""
+    columns = _columns(rows)
+    if not columns:
         return
-    writer = csv.DictWriter(stream, fieldnames=list(dicts[0]), lineterminator="\n")
-    writer.writeheader()
-    for row in dicts:
-        writer.writerow(
-            {k: (f"{v:.10g}" if isinstance(v, float) else v) for k, v in row.items()}
-        )
+    stream.write(",".join(_csv_cell(name) for name in columns) + "\n")
+    template = ",".join(["%s"] * len(columns)) + "\n"
+    _write_rows(columns, stream, _csv_cell, _csv_floats, template, "")
 
 
 def emit_json(rows, stream) -> None:
-    """Write rows as a JSON array of objects with unit-annotated names."""
-    dicts = [
-        {k: _ten_digits(v) for k, v in row.items()} for row in rows_to_dicts(rows)
-    ]
-    json.dump(dicts, stream, indent=2)
-    stream.write("\n")
+    """Write a ``SweepTable`` or a list of rows as a JSON array of objects
+    with unit-annotated names, floats rounded to 10 significant digits,
+    laid out as ``json.dump(..., indent=2)`` lays it out."""
+    columns = _columns(rows)
+    if not columns:
+        stream.write("[]\n")
+        return
+    fields = ",\n".join(
+        f"    {json.dumps(name).replace('%', '%%')}: %s" for name in columns
+    )
+    stream.write("[\n")
+    template = "  {\n" + fields + "\n  }"
+    _write_rows(columns, stream, _json_cell, _json_floats, template, ",\n")
+    stream.write("\n]\n")
 
 
 def emit_csv_string(rows) -> str:

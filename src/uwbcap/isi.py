@@ -7,10 +7,13 @@ it synthesizes multipath channels with a prescribed RMS delay spread
 fading on each tap) and measures how much received energy actually arrives
 after a candidate symbol period.
 
-For an exponential profile with decay constant equal to the delay spread,
-the energy past ``T_p + k * d_RMS`` is roughly ``exp(-k)`` -- about 37% at
-the nominal k = 1 spacing -- so "no ISI" at that spacing is an optimistic
-idealization, quantified here rather than assumed.
+For an exponential profile with decay constant equal to the delay spread
+and a pulse much shorter than it (``T_p << d_RMS``), the energy past
+``T_p + k * d_RMS`` is roughly ``exp(-k)`` -- about 37% at the nominal
+k = 1 spacing -- so "no ISI" at that spacing is an optimistic
+idealization, quantified here rather than assumed.  A wider pulse smears
+each tap over ``[tau, tau + T_p)`` and lowers the spill below ``exp(-k)``:
+at d_RMS = 1 ns, T_p = 0.5 ns and k = 1 the oracle gives 0.286.
 """
 
 import math
@@ -253,13 +256,20 @@ def validate_assumption(
     evaluates the fading-free profile instead (trials collapse to 1).
 
     Returns one ``IsiReport`` per guard multiple, in the given order.
+
+    Raises:
+        DomainError: a delay spread or pulse duration that is not finite
+            and > 0, or a guard multiple that is not finite and >= 0.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not guard_multiples:
         raise ValueError("at least one guard multiple is required")
-    if any(k < 0 for k in guard_multiples):
-        raise ValueError("guard multiples must be >= 0")
+    for name, value in (("delay spread", target_d_rms), ("pulse duration", pulse_duration)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and > 0 s, got {value!r}")
+    if not all(math.isfinite(k) and k >= 0 for k in guard_multiples):
+        raise DomainError("guard multiples must be finite and >= 0")
     if tap_spacing is None:
         tap_spacing = target_d_rms / 40.0
     if num_taps is None:

@@ -329,6 +329,21 @@ class TestValidateIsiCommand:
         assert code == 3
         assert "domain error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--delay-spread", "0ns", "--pulse-duration", "1ns"),
+            ("--delay-spread", "9ns", "--pulse-duration", "0ns"),
+            ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--guard-multiples", "1,nan"),
+            ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--guard-multiples=-1"),
+        ],
+    )
+    def test_out_of_domain_inputs_exit_three_without_traceback(self, capsys, argv):
+        code, out, err = run(capsys, "validate-isi", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error:") and "Traceback" not in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "validate-isi",

@@ -1,5 +1,7 @@
+import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from uwbcap.explorer import (
     TABLE_IV_GOLDEN,
     TABLE_VII_GOLDEN,
     SweepSpec,
+    SweepTable,
     check_table_iv,
     check_table_vii,
     default_bandwidth_sweep,
@@ -402,3 +405,57 @@ class TestEmission:
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0].startswith("designer,source,sampling_frequency_hz")
         assert len(lines) == 6
+
+
+def stdlib_csv(dicts) -> str:
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(dicts[0]), lineterminator="\n")
+    writer.writeheader()
+    for row in dicts:
+        writer.writerow({k: (f"{v:.10g}" if isinstance(v, float) else v) for k, v in row.items()})
+    return buffer.getvalue()
+
+
+def stdlib_json(dicts) -> str:
+    rounded = [
+        {k: (float(f"{v:.10g}") if isinstance(v, float) else v) for k, v in row.items()}
+        for row in dicts
+    ]
+    return json.dumps(rounded, indent=2) + "\n"
+
+
+class TestColumnarEmission:
+    """The chunked column formatter writes what csv.DictWriter and
+    json.dump(indent=2) write for the same rows."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr("uwbcap.explorer._CHUNK_ROWS", 3)
+
+    def emitted(self, rows):
+        out = io.StringIO()
+        emit_json(rows, out)
+        return emit_csv_string(rows), out.getvalue()
+
+    def test_table_with_repeated_signed_and_nonfinite_values(self):
+        table = SweepTable({
+            "frequency_hz": np.array([1e9, 2.5e9, 1e9, 2.5e9, 1e9, 2.5e9, 1e9]),
+            "rms_delay_spread_s": np.array([0.0, 0.0, -0.0, -0.0, 17e-9, 17e-9, 17e-9]),
+            "capacity_bit_s": np.array(
+                [1 / 3, 2 / 3, math.inf, -math.inf, math.nan, 1e-320, 123456789012.0]
+            ),
+        })
+        dicts = rows_to_dicts(table)
+        assert self.emitted(table) == (stdlib_csv(dicts), stdlib_json(dicts))
+
+    def test_row_list_with_text_needing_quotes(self):
+        rows = [
+            {"name": 'a, "quoted"\nname', "value": 1 / 3, "count": 2,
+             "asymptote": math.inf, "notes": ""},
+            {"name": "plain", "value": -0.0, "count": 3,
+             "asymptote": "unbounded", "notes": "x; y"},
+        ] * 2
+        assert self.emitted(rows) == (stdlib_csv(rows), stdlib_json(rows))
+
+    def test_empty_row_list(self):
+        assert self.emitted([]) == ("", "[]\n")

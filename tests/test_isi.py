@@ -255,3 +255,19 @@ class TestValidateAssumption:
             validate_assumption(9e-9, 0.25e-9, guard_multiples=(-1,))
         with pytest.raises(DomainError):
             validate_assumption(9e-9, 0.25e-9, tap_spacing=5e-9)
+
+    @pytest.mark.parametrize(
+        "d_rms, pulse, guards",
+        [
+            (0.0, 0.25e-9, (1.0,)),
+            (math.nan, 0.25e-9, (1.0,)),
+            (math.inf, 0.25e-9, (1.0,)),
+            (9e-9, 0.0, (1.0,)),
+            (9e-9, math.nan, (1.0,)),
+            (9e-9, 0.25e-9, (1.0, math.nan)),
+            (9e-9, 0.25e-9, (math.inf,)),
+        ],
+    )
+    def test_out_of_domain_inputs_raise_domain_error_up_front(self, d_rms, pulse, guards):
+        with pytest.raises(DomainError, match="finite"):
+            validate_assumption(d_rms, pulse, guard_multiples=guards, trials=1)
