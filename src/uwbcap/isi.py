@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .units import TIME, format_quantity
@@ -82,47 +81,76 @@ class TappedDelayLine:
         return "\n".join(lines) + "\n"
 
 
+def _rms(powers: np.ndarray, delays: np.ndarray) -> float:
+    """RMS delay spread of unit-total ``powers`` at ``delays``."""
+    mean = float(np.dot(powers, delays))
+    second = float(np.dot(powers, delays * delays))
+    # mean * mean, not mean ** 2: a float ** 2 calls libm pow
+    return math.sqrt(max(second - mean * mean, 0.0))
+
+
 def rms_delay_spread(channel: TappedDelayLine) -> float:
     """Root of the second central moment of the power-delay profile.
 
     sqrt( sum(p_i * tau_i^2) - (sum(p_i * tau_i))^2 ) with sum(p_i) = 1.
     Translation-invariant and linear under delay scaling.
     """
-    mean = float(np.dot(channel.powers, channel.delays))
-    second = float(np.dot(channel.powers, channel.delays**2))
-    return math.sqrt(max(second - mean * mean, 0.0))
+    return _rms(channel.powers, channel.delays)
 
 
-def _grid_rms(delays: np.ndarray, gamma: float) -> float:
+def _exponential_powers(delays: np.ndarray, gamma: float) -> np.ndarray:
     powers = np.exp(-delays / gamma)
     powers /= powers.sum()
-    mean = float(np.dot(powers, delays))
-    second = float(np.dot(powers, delays**2))
-    return math.sqrt(max(second - mean * mean, 0.0))
+    return powers
 
 
 @lru_cache(maxsize=64)
 def _calibrated_profile(target_d_rms: float, tap_spacing: float, num_taps: int):
     """Exponential tap powers whose realized RMS delay spread hits the target.
 
-    The decay constant is solved numerically because discretization and
-    truncation shift the realized spread away from the continuous-profile
-    value.  Returns read-only (delays, powers) arrays shared by every
-    channel on the same grid.
+    Discretization and truncation shift the realized spread away from the
+    continuous-profile value, so the decay constant gamma is solved on the
+    grid itself.  The realized spread rises monotonically with gamma, so a
+    bisection of the bracket ``[target / 100, 4 * target]`` finds it; the
+    bisection stops when the midpoint equals one of the endpoints (two
+    adjacent doubles, at most ~60 halvings) and keeps the endpoint whose
+    spread is nearer the target.  Returns read-only (delays, powers)
+    arrays shared by every channel on the same grid.
+
+    Raises:
+        DomainError: the bracket's endpoints do not straddle the target.
     """
     delays = np.arange(num_taps, dtype=float) * tap_spacing
-    gamma = brentq(
-        lambda g: _grid_rms(delays, g) - target_d_rms,
-        target_d_rms / 100.0,
-        4.0 * target_d_rms,
-        rtol=1e-13,
-        maxiter=200,
-    )
-    powers = np.exp(-delays / gamma)
-    powers /= powers.sum()
+
+    def excess(gamma):
+        return _rms(_exponential_powers(delays, gamma), delays) - target_d_rms
+
+    lo, hi = target_d_rms / 100.0, 4.0 * target_d_rms
+    excess_lo, excess_hi = excess(lo), excess(hi)
+    if not excess_lo <= 0.0 <= excess_hi:
+        raise DomainError(
+            "cannot calibrate the profile: no decay constant in "
+            f"[{lo!r}, {hi!r}] s realizes a delay spread of {target_d_rms!r} s"
+        )
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        excess_mid = excess(mid)
+        if excess_mid < 0.0:
+            lo, excess_lo = mid, excess_mid
+        else:
+            hi, excess_hi = mid, excess_mid
+    gamma = lo if -excess_lo <= excess_hi else hi
+    powers = _exponential_powers(delays, gamma)
     delays.setflags(write=False)
     powers.setflags(write=False)
     return delays, powers
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be finite and > 0 s, got {value!r}")
 
 
 def synthesize_channel(
@@ -141,22 +169,24 @@ def synthesize_channel(
     (Rayleigh amplitude fading), reproducibly.
 
     Args:
-        target_d_rms: wanted RMS delay spread in seconds (> 0).
-        tap_spacing:  grid step in seconds; at most target_d_rms / 10.
+        target_d_rms: wanted RMS delay spread in seconds (finite, > 0).
+        tap_spacing:  grid step in seconds (finite, > 0); at most
+                      target_d_rms / 10.
         num_taps:     grid length; the span num_taps * tap_spacing must
                       cover at least 10 * target_d_rms.
         rng_seed:     None for the deterministic profile, else anything
                       ``numpy.random.default_rng`` accepts.
 
     Raises:
-        DomainError: infeasible discretization (grid too coarse or short).
+        DomainError: a spread or spacing that is not finite and > 0, or an
+            infeasible discretization (grid too coarse or short).
     """
-    if target_d_rms <= 0:
-        raise DomainError("target delay spread must be > 0 s")
-    if tap_spacing <= 0 or tap_spacing > target_d_rms / 10.0:
+    _require_finite_positive("target_d_rms", target_d_rms)
+    _require_finite_positive("tap_spacing", tap_spacing)
+    if tap_spacing > target_d_rms / 10.0:
         raise DomainError(
-            "infeasible discretization: tap_spacing must be positive and "
-            f"at most target_d_rms / 10 = {target_d_rms / 10.0!r} s"
+            "infeasible discretization: tap_spacing must be at most "
+            f"target_d_rms / 10 = {target_d_rms / 10.0!r} s"
         )
     if num_taps * tap_spacing < 10.0 * target_d_rms:
         raise DomainError(
@@ -169,6 +199,11 @@ def synthesize_channel(
     rng = np.random.default_rng(rng_seed)
     faded = powers * rng.exponential(1.0, powers.size)
     return TappedDelayLine.normalized(delays, faded)
+
+
+def _tail(delays: np.ndarray, pulse_duration: float, symbol_period: float) -> np.ndarray:
+    """Share of each tap's pulse energy that lands at or after the symbol period."""
+    return np.clip((delays + pulse_duration - symbol_period) / pulse_duration, 0.0, 1.0)
 
 
 def isi_spill(
@@ -191,10 +226,7 @@ def isi_spill(
         raise ValueError("pulse duration must be > 0 s")
     if symbol_period < pulse_duration:
         raise DomainError("symbol period must be at least the pulse duration")
-    tail = np.clip(
-        (channel.delays + pulse_duration - symbol_period) / pulse_duration, 0.0, 1.0
-    )
-    return float(np.dot(channel.powers, tail))
+    return float(np.dot(channel.powers, _tail(channel.delays, pulse_duration, symbol_period)))
 
 
 def in_symbol_fraction(
@@ -255,49 +287,62 @@ def validate_assumption(
     results do not depend on evaluation order.  ``deterministic=True``
     evaluates the fading-free profile instead (trials collapse to 1).
 
+    The result equals synthesizing each trial's channel with
+    ``synthesize_channel`` and measuring it with ``rms_delay_spread`` and
+    ``isi_spill``, bit for bit, but the profile is calibrated and checked
+    once, the spill tails are built once per guard multiple, and each
+    trial is one faded power row measured with the same dot products.
+
     Returns one ``IsiReport`` per guard multiple, in the given order.
 
     Raises:
-        DomainError: a delay spread or pulse duration that is not finite
-            and > 0, or a guard multiple that is not finite and >= 0.
+        DomainError: a delay spread, pulse duration or tap spacing that is
+            not finite and > 0, a guard multiple that is not finite and
+            >= 0, or an infeasible discretization.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not guard_multiples:
         raise ValueError("at least one guard multiple is required")
-    for name, value in (("delay spread", target_d_rms), ("pulse duration", pulse_duration)):
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be finite and > 0 s, got {value!r}")
+    _require_finite_positive("delay spread", target_d_rms)
+    _require_finite_positive("pulse duration", pulse_duration)
     if not all(math.isfinite(k) and k >= 0 for k in guard_multiples):
         raise DomainError("guard multiples must be finite and >= 0")
     if tap_spacing is None:
         tap_spacing = target_d_rms / 40.0
+    _require_finite_positive("tap_spacing", tap_spacing)
     if num_taps is None:
         num_taps = int(math.ceil(15.0 * target_d_rms / tap_spacing))
 
-    if deterministic:
-        channels = [synthesize_channel(target_d_rms, tap_spacing, num_taps)]
-    else:
-        channels = [
-            synthesize_channel(target_d_rms, tap_spacing, num_taps, rng_seed=(rng_seed, t))
-            for t in range(trials)
-        ]
-    realized = float(np.mean([rms_delay_spread(ch) for ch in channels]))
+    profile = synthesize_channel(target_d_rms, tap_spacing, num_taps)
+    delays, powers = profile.delays, profile.powers
+    periods = [pulse_duration + float(k) * target_d_rms for k in guard_multiples]
+    tails = [_tail(delays, pulse_duration, period) for period in periods]
+    count = 1 if deterministic else trials
+    realized = np.empty(count)
+    spills = np.empty((len(tails), count))
+    for t in range(count):
+        if deterministic:
+            row = powers
+        else:
+            # synthesize_channel's fading draw and normalization
+            row = powers * np.random.default_rng((rng_seed, t)).exponential(1.0, powers.size)
+            row /= row.sum()
+        realized[t] = _rms(row, delays)
+        for k, tail in enumerate(tails):
+            spills[k, t] = np.dot(row, tail)
+    realized_mean = float(realized.mean())
 
-    reports = []
-    for k in guard_multiples:
-        symbol_period = pulse_duration + float(k) * target_d_rms
-        spills = np.array([isi_spill(ch, pulse_duration, symbol_period) for ch in channels])
-        reports.append(
-            IsiReport(
-                target_d_rms=target_d_rms,
-                realized_d_rms=realized,
-                symbol_period=symbol_period,
-                guard_multiple=float(k),
-                spill_fraction=float(spills.mean()),
-                spill_min=float(spills.min()),
-                spill_max=float(spills.max()),
-                trials=len(channels),
-            )
+    return [
+        IsiReport(
+            target_d_rms=target_d_rms,
+            realized_d_rms=realized_mean,
+            symbol_period=period,
+            guard_multiple=float(k),
+            spill_fraction=float(spill.mean()),
+            spill_min=float(spill.min()),
+            spill_max=float(spill.max()),
+            trials=count,
         )
-    return reports
+        for k, period, spill in zip(guard_multiples, periods, spills)
+    ]

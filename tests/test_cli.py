@@ -336,6 +336,8 @@ class TestValidateIsiCommand:
             ("--delay-spread", "9ns", "--pulse-duration", "0ns"),
             ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--guard-multiples", "1,nan"),
             ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--guard-multiples=-1"),
+            ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--tap-spacing", "0ns"),
+            ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--tap-spacing", "1e400ns"),
         ],
     )
     def test_out_of_domain_inputs_exit_three_without_traceback(self, capsys, argv):

@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from uwbcap import datasets
 from uwbcap.errors import DomainError
 from uwbcap.isi import (
+    IsiReport,
     TappedDelayLine,
     in_symbol_fraction,
     isi_spill,
@@ -108,6 +114,41 @@ class TestSynthesizeChannel:
         # log-powers of an exponential profile are affine in delay
         ratios = channel.powers[1:] / channel.powers[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "d_rms, spacing, taps",
+        [
+            *(
+                (d, d / 40.0, int(math.ceil(15.0 * d / (d / 40.0))))
+                for d in sorted(
+                    {e.rms_delay_spread for e in datasets.load_builtin(datasets.CHANNELS)}
+                    | {e.rms_delay_spread for e in datasets.load_builtin(datasets.ANTENNA_CONFIGS)}
+                )
+            ),
+            (9e-9, 0.09e-9, 1500),
+            (1e-9, 0.05e-9, 400),
+        ],
+    )
+    def test_calibration_hits_target(self, d_rms, spacing, taps):
+        # the default grid for every survey d_RMS, plus two explicit grids
+        realized = rms_delay_spread(synthesize_channel(d_rms, spacing, taps))
+        assert rel(realized, d_rms) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "d_rms, spacing, name",
+        [
+            (math.nan, 0.1e-9, "target_d_rms"),
+            (math.inf, 0.1e-9, "target_d_rms"),
+            (-1e-9, 0.1e-9, "target_d_rms"),
+            (9e-9, math.nan, "tap_spacing"),
+            (9e-9, math.inf, "tap_spacing"),
+            (9e-9, -math.inf, "tap_spacing"),
+            (9e-9, 0.0, "tap_spacing"),
+        ],
+    )
+    def test_non_finite_inputs_are_named(self, d_rms, spacing, name):
+        with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
+            synthesize_channel(d_rms, spacing, 400)
 
     def test_infeasible_discretizations(self):
         with pytest.raises(DomainError, match="tap_spacing"):
@@ -256,6 +297,12 @@ class TestValidateAssumption:
         with pytest.raises(DomainError):
             validate_assumption(9e-9, 0.25e-9, tap_spacing=5e-9)
 
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -0.1e-9])
+    def test_bad_tap_spacing_raises_domain_error(self, spacing):
+        # checked before the default num_taps is derived from it
+        with pytest.raises(DomainError, match="tap_spacing must be finite and > 0"):
+            validate_assumption(9e-9, 0.25e-9, trials=1, tap_spacing=spacing)
+
     @pytest.mark.parametrize(
         "d_rms, pulse, guards",
         [
@@ -271,3 +318,109 @@ class TestValidateAssumption:
     def test_out_of_domain_inputs_raise_domain_error_up_front(self, d_rms, pulse, guards):
         with pytest.raises(DomainError, match="finite"):
             validate_assumption(d_rms, pulse, guard_multiples=guards, trials=1)
+
+
+def _per_trial_reference(
+    target_d_rms, pulse_duration, guard_multiples=(1.0, 2.0, 3.0, 4.0, 5.0),
+    trials=200, rng_seed=0, *, tap_spacing=None, num_taps=None, deterministic=False,
+):
+    """``validate_assumption`` as one synthesized channel per trial."""
+    if tap_spacing is None:
+        tap_spacing = target_d_rms / 40.0
+    if num_taps is None:
+        num_taps = int(math.ceil(15.0 * target_d_rms / tap_spacing))
+    if deterministic:
+        channels = [synthesize_channel(target_d_rms, tap_spacing, num_taps)]
+    else:
+        channels = [
+            synthesize_channel(target_d_rms, tap_spacing, num_taps, rng_seed=(rng_seed, t))
+            for t in range(trials)
+        ]
+    realized = float(np.mean([rms_delay_spread(ch) for ch in channels]))
+    reports = []
+    for k in guard_multiples:
+        symbol_period = pulse_duration + float(k) * target_d_rms
+        spills = np.array([isi_spill(ch, pulse_duration, symbol_period) for ch in channels])
+        reports.append(
+            IsiReport(
+                target_d_rms=target_d_rms,
+                realized_d_rms=realized,
+                symbol_period=symbol_period,
+                guard_multiple=float(k),
+                spill_fraction=float(spills.mean()),
+                spill_min=float(spills.min()),
+                spill_max=float(spills.max()),
+                trials=len(channels),
+            )
+        )
+    return reports
+
+
+class TestBatchedParity:
+    """The one-pass trial loop equals the per-channel algorithm exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 101, 2**40 + 3])
+    def test_default_grid(self, seed):
+        args = (9e-9, 0.25e-9)
+        kwargs = dict(trials=120, rng_seed=seed)
+        assert validate_assumption(*args, **kwargs) == _per_trial_reference(*args, **kwargs)
+
+    @pytest.mark.parametrize(
+        "d_rms, pulse, guards, spacing, taps",
+        [
+            (9e-9, 0.25e-9, (0, 1, 3), 0.09e-9, 1500),
+            (1e-9, 0.5e-9, (0.0, 0.5, 1.0, 2.0), 0.05e-9, 400),
+            (17e-9, 1e-9, (2, 0, 4), None, 700),
+            (0.87e-9, 0.3e-9, (1, 2), 0.01e-9, None),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_explicit_grids_and_zero_guard(self, d_rms, pulse, guards, spacing, taps, seed):
+        kwargs = dict(
+            guard_multiples=guards, trials=60, rng_seed=seed, tap_spacing=spacing, num_taps=taps
+        )
+        assert validate_assumption(d_rms, pulse, **kwargs) == _per_trial_reference(
+            d_rms, pulse, **kwargs
+        )
+
+    @pytest.mark.parametrize(
+        "d_rms, pulse, spacing, taps",
+        [(9e-9, 0.25e-9, None, None), (1e-9, 0.5e-9, 0.05e-9, 400), (89e-9, 2e-9, 1e-9, 1400)],
+    )
+    def test_deterministic(self, d_rms, pulse, spacing, taps):
+        kwargs = dict(
+            guard_multiples=(0, 1, 2, 5), deterministic=True, tap_spacing=spacing, num_taps=taps
+        )
+        assert validate_assumption(d_rms, pulse, **kwargs) == _per_trial_reference(
+            d_rms, pulse, **kwargs
+        )
+
+    def test_single_trial(self):
+        kwargs = dict(guard_multiples=(1,), trials=1, rng_seed=5)
+        assert validate_assumption(3e-9, 0.2e-9, **kwargs) == _per_trial_reference(
+            3e-9, 0.2e-9, **kwargs
+        )
+
+
+def test_trial_loop_holds_no_trials_by_taps_matrix():
+    import tracemalloc
+
+    trials, taps = 1000, 600  # a (trials x taps) float matrix is 4.8 MB
+    validate_assumption(9e-9, 0.25e-9, trials=1, num_taps=taps)  # calibrate outside
+    tracemalloc.start()
+    try:
+        validate_assumption(9e-9, 0.25e-9, trials=trials, rng_seed=3, num_taps=taps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < trials * taps * 8 / 10
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import uwbcap.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
