@@ -57,18 +57,30 @@ from .explorer import (
     reproduce_table_vii,
     run_sweep,
 )
-from .isi import (
-    IsiReport,
-    TappedDelayLine,
-    in_symbol_fraction,
-    isi_spill,
-    rms_delay_spread,
-    synthesize_channel,
-    validate_assumption,
-)
 from .units import format_quantity, parse_quantity
 
 __version__ = "0.1.0"
+
+#: Names re-exported from ``uwbcap.isi``, which imports numpy: they are
+#: loaded on first access (PEP 562), so scalar use never imports numpy.
+_ISI_NAMES = frozenset({
+    "IsiReport",
+    "TappedDelayLine",
+    "in_symbol_fraction",
+    "isi_spill",
+    "rms_delay_spread",
+    "synthesize_channel",
+    "validate_assumption",
+})
+
+
+def __getattr__(name):
+    if name in _ISI_NAMES:
+        from . import isi
+
+        return getattr(isi, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ADC_MARKET",

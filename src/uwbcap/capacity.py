@@ -28,8 +28,6 @@ here is a pure function of its arguments and safe to call concurrently.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .units import db_to_linear, linear_to_db
 
@@ -75,7 +73,7 @@ class PulseSpec:
     bandwidth: float
 
     def __post_init__(self):
-        if self.duration <= 0 or self.bandwidth <= 0:
+        if not (0 < self.duration < math.inf and 0 < self.bandwidth < math.inf):
             raise ValueError("pulse duration and bandwidth must be > 0")
         if abs(self.duration * self.bandwidth - 1.0) > 1e-9:
             raise ValueError(
@@ -84,13 +82,13 @@ class PulseSpec:
 
     @classmethod
     def from_duration(cls, duration: float) -> "PulseSpec":
-        if duration <= 0:
+        if not 0 < duration < math.inf:
             raise ValueError("pulse duration must be > 0 s")
         return cls(duration, 1.0 / duration)
 
     @classmethod
     def from_bandwidth(cls, bandwidth: float) -> "PulseSpec":
-        if bandwidth <= 0:
+        if not 0 < bandwidth < math.inf:
             raise ValueError("bandwidth must be > 0 Hz")
         return cls(1.0 / bandwidth, bandwidth)
 
@@ -108,9 +106,9 @@ class SamplingConfig:
     sampling_factor: float = 4.0
 
     def __post_init__(self):
-        if self.sampling_frequency <= 0:
+        if not 0 < self.sampling_frequency < math.inf:
             raise ValueError("sampling_frequency must be > 0 Hz")
-        if self.sampling_factor < 2:
+        if not 2 <= self.sampling_factor < math.inf:
             raise ValueError("sampling_factor must be >= 2 (Nyquist floor)")
 
 
@@ -121,7 +119,7 @@ class CircuitFrequency:
     value: float
 
     def __post_init__(self):
-        if self.value <= 0:
+        if not 0 < self.value < math.inf:
             raise ValueError("circuit frequency must be > 0 Hz")
 
 
@@ -132,12 +130,16 @@ class SnrValue:
     linear_ratio: float
 
     def __post_init__(self):
-        if self.linear_ratio <= 0:
+        if not 0 < self.linear_ratio < math.inf:
             raise ValueError("SNR linear ratio must be > 0")
 
     @classmethod
     def from_db(cls, db: float) -> "SnrValue":
-        return cls(db_to_linear(db))
+        try:
+            linear = db_to_linear(db)
+        except OverflowError:
+            raise ValueError(f"SNR {db!r} dB overflows a linear ratio") from None
+        return cls(linear)
 
     @property
     def db(self) -> float:
@@ -371,7 +373,7 @@ def _overhead_factor(mode: str, sampling_factor) -> float:
     if mode == MOSTLY_DIGITAL:
         if sampling_factor is None:
             raise ValueError("sampling_factor is required in mostly_digital mode")
-        if sampling_factor < 2:
+        if not 2 <= sampling_factor < math.inf:
             raise ValueError("sampling_factor must be >= 2 (Nyquist floor)")
         return float(sampling_factor)
     if mode == MIXED:
@@ -396,7 +398,7 @@ def capacity_derivative(
     zero as the capacity flattens onto the 1/d_RMS asymptote -- which is
     why chasing ever-higher sampling or clock rates stops paying off.
     """
-    if frequency <= 0:
+    if not 0 < frequency < math.inf:
         raise ValueError("frequency must be > 0 Hz")
     n = _overhead_factor(mode, sampling_factor)
     return _derivative(n / frequency, frequency, d.value)
@@ -416,7 +418,7 @@ def percent_of_max(
     Raises:
         DomainError: undefined when the delay spread is zero.
     """
-    if frequency <= 0:
+    if not 0 < frequency < math.inf:
         raise ValueError("frequency must be > 0 Hz")
     if d.value == 0:
         raise DomainError(
@@ -494,12 +496,15 @@ def capacity_grid(
 
     Raises what the scalar calls raise at the first point, in (d, n, F)
     order, that they reject: the points a vectorised screen flags (F not
-    positive and finite, n < 2, d = 0 with percent_of_max, capacity outside
-    (0, asymptote]) are re-run through the scalar functions.
+    positive and finite, n below 2 or not finite, d = 0 with
+    percent_of_max, capacity outside (0, asymptote]) are re-run through the
+    scalar functions.
 
     Returns:
         output name -> array of shape (len(d), len(n) or 1, len(F)).
     """
+    import numpy as np  # only the array entry point needs it
+
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if any(o not in OUTPUTS for o in outputs):
@@ -519,7 +524,7 @@ def capacity_grid(
         values = {}
         suspect = ~((f > 0) & np.isfinite(f))
         if digital:
-            suspect = suspect | ~(n >= 2)
+            suspect = suspect | ~((n >= 2) & np.isfinite(n))
         if "capacity" in outputs:
             rate = _symbol_rate(multiplier, overhead, d)
             values["capacity"] = rate

@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import capacity as cap
-from . import datasets, explorer, isi
+from . import datasets, explorer
 from .errors import DomainError, QuantityError, SchemaError
 from .units import FREQUENCY, TIME, parse_quantity
 
@@ -421,6 +421,8 @@ def cmd_datasets_list(args) -> int:
 
 
 def cmd_validate_isi(args) -> int:
+    from . import isi  # imports numpy, which no other command needs
+
     reports = isi.validate_assumption(
         args.delay_spread,
         args.pulse_duration,

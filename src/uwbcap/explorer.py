@@ -21,8 +21,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import capacity as cap
 from . import datasets
 
@@ -99,7 +97,10 @@ class SweepSpec:
         if self.mode == "ideal" and "derivative" in self.outputs:
             raise ValueError("the derivative output is not defined in ideal mode")
 
-    def grid(self) -> np.ndarray:
+    def grid(self):
+        """The swept frequencies, a 1-D float array."""
+        import numpy as np
+
         if self.spacing == LINEAR:
             return np.linspace(self.start_hz, self.stop_hz, self.points)
         return np.geomspace(self.start_hz, self.stop_hz, self.points)
@@ -164,6 +165,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     and ideal sweeps take the derivative and percent_of_max of the mixed
     parameterization: the frequency knob enters as 1/F either way.
     """
+    import numpy as np
+
     grid = spec.grid()
     values = cap.capacity_grid(
         spec.mode, grid, spec.delay_spreads, spec.sampling_factors,
@@ -508,7 +511,7 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _csv_floats(values: np.ndarray) -> list:
+def _csv_floats(values) -> list:
     return list(map(_TEN_DIGITS, values.tolist()))
 
 
@@ -519,22 +522,26 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
-def _json_floats(values: np.ndarray) -> list:
+def _json_floats(values) -> list:
+    import numpy as np
+
     if np.isfinite(values).all():
         return list(map(repr, map(float, map(_TEN_DIGITS, values.tolist()))))
     return list(map(_json_cell, values.tolist()))
 
 
 def _cells(values, cell, floats) -> list:
-    """One column's formatted cells: a float array through ``floats``, once
-    per distinct value (bit pattern), since the grid, d_RMS and n columns
-    repeat every value many times; anything else cell by cell."""
-    if isinstance(values, np.ndarray):
-        bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
-        bits, index = np.unique(bits, return_inverse=True)
-        text = np.array(floats(bits.view(np.float64)), dtype=object)
-        return text[index.ravel()].tolist()
-    return [cell(v) for v in values]
+    """One column's formatted cells: a list (row values) cell by cell; a
+    float array through ``floats``, once per distinct value (bit pattern),
+    since the grid, d_RMS and n columns repeat every value many times."""
+    if isinstance(values, list):
+        return [cell(v) for v in values]
+    import numpy as np
+
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
+    bits, index = np.unique(bits, return_inverse=True)
+    text = np.array(floats(bits.view(np.float64)), dtype=object)
+    return text[index.ravel()].tolist()
 
 
 def _write_rows(columns, stream, cell, floats, template, separator) -> None:

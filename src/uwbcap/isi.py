@@ -26,6 +26,8 @@ from .errors import DomainError
 from .units import TIME, format_quantity
 
 _POWER_SUM_TOL = 1e-12
+#: exp(-x) underflows to 0 in double precision for x above about 745.13.
+_UNDERFLOW_DECAYS = 746.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +120,8 @@ def _calibrated_profile(target_d_rms: float, tap_spacing: float, num_taps: int):
     arrays shared by every channel on the same grid.
 
     Raises:
-        DomainError: the bracket's endpoints do not straddle the target.
+        DomainError: the bracket's endpoints do not straddle the target, or
+            the grid outlasts the profile (its last tap power underflows to 0).
     """
     delays = np.arange(num_taps, dtype=float) * tap_spacing
 
@@ -143,6 +146,12 @@ def _calibrated_profile(target_d_rms: float, tap_spacing: float, num_taps: int):
             hi, excess_hi = mid, excess_mid
     gamma = lo if -excess_lo <= excess_hi else hi
     powers = _exponential_powers(delays, gamma)
+    if powers[-1] == 0.0:
+        raise DomainError(
+            f"infeasible discretization: num_taps = {num_taps} spans "
+            f"{num_taps * tap_spacing!r} s, past which the tap powers of a "
+            f"{target_d_rms!r} s profile underflow to 0"
+        )
     delays.setflags(write=False)
     powers.setflags(write=False)
     return delays, powers
@@ -173,13 +182,15 @@ def synthesize_channel(
         tap_spacing:  grid step in seconds (finite, > 0); at most
                       target_d_rms / 10.
         num_taps:     grid length; the span num_taps * tap_spacing must
-                      cover at least 10 * target_d_rms.
+                      cover at least 10 * target_d_rms, and is too long
+                      once the last tap power underflows to 0.
         rng_seed:     None for the deterministic profile, else anything
                       ``numpy.random.default_rng`` accepts.
 
     Raises:
         DomainError: a spread or spacing that is not finite and > 0, or an
-            infeasible discretization (grid too coarse or short).
+            infeasible discretization (grid too coarse, too short, or so
+            long that tap powers underflow to 0).
     """
     _require_finite_positive("target_d_rms", target_d_rms)
     _require_finite_positive("tap_spacing", tap_spacing)
@@ -187,6 +198,16 @@ def synthesize_channel(
         raise DomainError(
             "infeasible discretization: tap_spacing must be at most "
             f"target_d_rms / 10 = {target_d_rms / 10.0!r} s"
+        )
+    # the decay constant is at most 4 * target_d_rms, so past this span the
+    # last tap power underflows whatever the calibration finds: reject the
+    # grid before allocating it (comparing the int num_taps, which may be
+    # too large to convert to a float)
+    if num_taps > _UNDERFLOW_DECAYS * 4.0 * target_d_rms / tap_spacing:
+        raise DomainError(
+            "infeasible discretization: num_taps * tap_spacing must stay below "
+            f"{_UNDERFLOW_DECAYS * 4.0 * target_d_rms!r} s, past which tap powers "
+            "underflow to 0"
         )
     if num_taps * tap_spacing < 10.0 * target_d_rms:
         raise DomainError(

@@ -52,8 +52,8 @@ def parse_quantity(text: str, expect: str | None = None) -> float:
         The value in seconds, hertz or watts.
 
     Raises:
-        QuantityError: malformed number, unknown suffix, bare number, or
-            dimension mismatch.
+        QuantityError: malformed number, unknown suffix, bare number,
+            dimension mismatch, or a value too large for a float.
     """
     if "," in text:
         raise QuantityError(
@@ -81,7 +81,10 @@ def parse_quantity(text: str, expect: str | None = None) -> float:
     # off from multiplying by a float scale)
     mantissa, _, exponent = number.lower().partition("e")
     total_shift = (int(exponent) if exponent else 0) + shift
-    return float(f"{mantissa}e{total_shift}")
+    value = float(f"{mantissa}e{total_shift}")
+    if math.isinf(value):
+        raise QuantityError(f"quantity {text!r} overflows a float")
+    return value
 
 
 def format_quantity(value: float, dimension: str) -> str:

@@ -56,6 +56,13 @@ class TestDomainTypes:
             PulseSpec(1e-9, 2e9)  # product 2, not 1
         with pytest.raises(ValueError):
             PulseSpec.from_duration(0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="pulse duration and bandwidth"):
+                PulseSpec(bad, bad)
+            with pytest.raises(ValueError, match="pulse duration"):
+                PulseSpec.from_duration(bad)
+            with pytest.raises(ValueError, match="bandwidth"):
+                PulseSpec.from_bandwidth(bad)
 
     def test_sampling_config_invariants(self):
         cfg = SamplingConfig(2e9)
@@ -64,10 +71,18 @@ class TestDomainTypes:
             SamplingConfig(2e9, 1.5)  # below the Nyquist floor
         with pytest.raises(ValueError):
             SamplingConfig(0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sampling_frequency"):
+                SamplingConfig(bad)
+            with pytest.raises(ValueError, match="sampling_factor"):
+                SamplingConfig(2e9, bad)
 
     def test_circuit_frequency_positive(self):
         with pytest.raises(ValueError):
             CircuitFrequency(0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="circuit frequency"):
+                CircuitFrequency(bad)
 
     def test_snr_db_round_trip(self):
         for db in (-3.0, 0.0, 3.0, 4.771212547196624, 20.0):
@@ -75,6 +90,13 @@ class TestDomainTypes:
             assert math.isclose(snr.db, db, rel_tol=1e-12, abs_tol=1e-12)
         with pytest.raises(ValueError):
             SnrValue(0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="SNR"):
+                SnrValue(bad)
+            with pytest.raises(ValueError, match="SNR"):
+                SnrValue.from_db(bad)
+        with pytest.raises(ValueError, match="SNR"):
+            SnrValue.from_db(4000.0)  # 10 ** 400 overflows
 
     def test_modulation_multipliers_table_convention(self):
         assert ModulationScheme(2).multiplier == 1.0
@@ -366,6 +388,11 @@ class TestCapacityDerivative:
             capacity_derivative(MIXED, 1e9, DelaySpread(1e-9), 4.0)
         with pytest.raises(ValueError):
             capacity_derivative(MIXED, 0.0, DelaySpread(1e-9))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sampling_factor"):
+                capacity_derivative(MOSTLY_DIGITAL, 1e9, DelaySpread(1e-9), bad)
+            with pytest.raises(ValueError, match="frequency"):
+                capacity_derivative(MIXED, bad, DelaySpread(1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +431,13 @@ class TestPercentOfMax:
     def test_zero_spread_is_a_domain_error(self):
         with pytest.raises(DomainError):
             percent_of_max(MIXED, 1e9, DelaySpread(0.0))
+
+    def test_non_finite_inputs_are_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="frequency"):
+                percent_of_max(MIXED, bad, DelaySpread(1e-9))
+            with pytest.raises(ValueError, match="sampling_factor"):
+                percent_of_max(MOSTLY_DIGITAL, 1e9, DelaySpread(1e-9), bad)
 
 
 class TestRequiredFrequency:

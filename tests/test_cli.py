@@ -132,6 +132,45 @@ class TestCapacityCommand:
         assert code == 2
         assert "sampling_factor" in err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("ideal", "--bandwidth", "2GHz", "--delay-spread", "17ns", "--snr-db", "4000"),
+             "SNR"),
+            (("ideal", "--bandwidth", "2GHz", "--delay-spread", "17ns", "--snr-linear", "inf"),
+             "SNR"),
+            (("ideal", "--bandwidth", "2GHz", "--delay-spread", "17ns", "--snr-linear", "nan"),
+             "SNR"),
+            (("digital", "--fs", "2GSPS", "--nsampling", "nan", "--delay-spread", "17ns"),
+             "sampling_factor"),
+            (("digital", "--fs", "2GSPS", "--nsampling", "inf", "--delay-spread", "17ns"),
+             "sampling_factor"),
+        ],
+    )
+    def test_non_finite_inputs_are_usage_errors(self, capsys, argv, field):
+        code, out, err = run(capsys, "capacity", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("capacity", "digital", "--fs", "1e400GSPS", "--delay-spread", "17ns"), "--fs"),
+        (("capacity", "mixed", "--fcircuit", "10GHz", "--delay-spread", "1e400s"),
+         "--delay-spread"),
+        (("validate-isi", "--delay-spread", "9ns", "--pulse-duration", "1ns",
+          "--tap-spacing", "1e400ns"), "--tap-spacing"),
+    ],
+)
+def test_overflowing_quantity_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "overflows" in err
+
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -188,6 +227,25 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "sampling factor" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--mode", "ideal", "--param", "bandwidth", "--snr-db", "4000"),
+            ("--mode", "digital", "--param", "fs", "--nsampling", "nan",
+             "--outputs", "derivative"),
+            ("--mode", "digital", "--param", "fs", "--nsampling", "4,inf",
+             "--outputs", "percent"),
+        ],
+    )
+    def test_non_finite_inputs_are_usage_errors(self, capsys, argv):
+        code, out, err = run(
+            capsys, "sweep", *argv,
+            "--from", "1GHz", "--to", "10GHz", "--points", "4", "--delay-spreads", "9ns",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_mode_param_mismatch_is_usage_error(self, capsys):
         code, _, err = run(
@@ -337,7 +395,9 @@ class TestValidateIsiCommand:
             ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--guard-multiples", "1,nan"),
             ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--guard-multiples=-1"),
             ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--tap-spacing", "0ns"),
-            ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--tap-spacing", "1e400ns"),
+            # tap powers past ~745 decay constants underflow to 0
+            ("--delay-spread", "1ns", "--pulse-duration", "0.25ns", "--num-taps", "40000",
+             "--deterministic"),
         ],
     )
     def test_out_of_domain_inputs_exit_three_without_traceback(self, capsys, argv):

@@ -147,6 +147,10 @@ def _example(freqs, spreads_s, factors, outputs):
 # the first rejected point in (d, n, f) order decides the error
 @_example([1e9], [0.0, 1e-9], [4.0, 1.0], ["capacity", "percent_of_max"])
 @_example([1e9], [1e-9, 0.0], [1.0], ["percent_of_max"])
+# non-finite F and n are rejected whatever the outputs
+@_example([1e9, float("inf")], [1e-9], [4.0], ["derivative"])
+@_example([1e9], [1e-9], [4.0, float("nan")], ["derivative"])
+@_example([1e9], [1e-9], [float("inf")], ["derivative"])
 def test_grid_raises_what_the_scalar_path_raises(
     mode, freqs, delay_spreads, factors, modulation, snr, outputs
 ):

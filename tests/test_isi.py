@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uwbcap import datasets
+from uwbcap import datasets, isi
 from uwbcap.errors import DomainError
 from uwbcap.isi import (
     IsiReport,
@@ -157,6 +157,24 @@ class TestSynthesizeChannel:
             synthesize_channel(9e-9, 0.5e-9, 100)  # span below 10 targets
         with pytest.raises(DomainError):
             synthesize_channel(0.0, 0.1e-9, 400)
+
+    def test_underflowing_profile_names_num_taps(self):
+        # 40000 taps of 25 ps span 1000 d_RMS: the calibrated profile's last
+        # tap power, about exp(-1000), underflows to 0
+        with pytest.raises(DomainError, match="num_taps"):
+            synthesize_channel(1e-9, 25e-12, 40000)
+
+    def test_certain_underflow_is_rejected_before_the_grid_is_built(self, monkeypatch):
+        def calibrate(*args):
+            raise AssertionError("the tap grid was built")
+
+        monkeypatch.setattr(isi, "_calibrated_profile", calibrate)
+        with pytest.raises(DomainError, match="num_taps"):
+            synthesize_channel(1e-9, 25e-12, 10**15)
+        with pytest.raises(DomainError, match="num_taps"):
+            validate_assumption(1e-9, 0.25e-9, num_taps=10**15, deterministic=True)
+        with pytest.raises(DomainError, match="num_taps"):
+            synthesize_channel(1e-9, 25e-12, 10**400)  # no float holds it
 
     def test_deterministic_mode_is_reproducible(self):
         a = synthesize_channel(9e-9, 0.5e-9, 400)
@@ -416,11 +434,60 @@ def test_trial_loop_holds_no_trials_by_taps_matrix():
     assert peak < trials * taps * 8 / 10
 
 
-def test_cli_import_does_not_load_scipy():
+def _fresh_python(script, *args) -> str:
+    """stdout of ``script`` run in a new interpreter that imports ``src``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", "import uwbcap.cli, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+_LOADED_AFTER_MAIN = """
+import contextlib, io, sys
+import uwbcap.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert uwbcap.cli.main(sys.argv[1:]) == 0
+print('numpy' in sys.modules, 'scipy' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, numpy_loaded",
+    [
+        ((), False),
+        (("capacity", "digital", "--fs", "2GSPS", "--delay-spread", "17ns"), False),
+        (("capacity", "ideal", "--bandwidth", "2GHz", "--delay-spread", "17ns"), False),
+        (("table", "iv", "--check"), False),
+        (("table", "vii", "--check"), False),
+        (("datasets", "list", "channels"), False),
+        # the array commands load numpy, so the check can see it
+        (
+            ("sweep", "--mode", "mixed", "--param", "fcircuit", "--from", "1GHz",
+             "--to", "2GHz", "--points", "3", "--delay-spreads", "1ns"),
+            True,
+        ),
+        (("validate-isi", "--delay-spread", "1ns", "--pulse-duration", "0.25ns",
+          "--trials", "2"), True),
+    ],
+    ids=["import", "capacity-digital", "capacity-ideal", "table-iv", "table-vii",
+         "datasets-list", "sweep", "validate-isi"],
+)
+def test_only_array_commands_load_numpy(argv, numpy_loaded):
+    # scipy is never imported
+    assert _fresh_python(_LOADED_AFTER_MAIN, *argv) == f"{numpy_loaded} False"
+
+
+def test_package_star_import_binds_every_exported_name():
+    script = """
+import uwbcap
+namespace = {}
+exec("from uwbcap import *", namespace)
+import uwbcap.isi
+print([name for name in uwbcap.__all__ if name not in namespace],
+      uwbcap.validate_assumption is uwbcap.isi.validate_assumption)
+"""
+    assert _fresh_python(script) == "[] True"

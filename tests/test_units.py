@@ -51,6 +51,13 @@ def test_rejects_bare_numbers_and_unknown_suffixes(text):
         parse_quantity(text)
 
 
+# 1e300GHz overflows only once the suffix's exponent is folded in
+@pytest.mark.parametrize("text", ["1e400GHz", "1e400GSPS", "1e300GHz", "1.8e308 s"])
+def test_rejects_values_that_overflow(text):
+    with pytest.raises(QuantityError, match="overflows"):
+        parse_quantity(text)
+
+
 def test_rejects_decimal_comma():
     with pytest.raises(QuantityError, match="decimal point"):
         parse_quantity("2,63 GHz")
