@@ -26,6 +26,7 @@ here is a pure function of its arguments and safe to call concurrently.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -160,6 +161,11 @@ class ModulationScheme:
             raise ValueError(
                 f"convention must be {MARY_PAPER!r} or {MARY_LOG2!r}"
             )
+        if self.convention == MARY_PAPER and self.order - 1 > sys.float_info.max:
+            raise ValueError(
+                f"modulation order {self.order} is too large: its multiplier "
+                "M - 1 overflows a float"
+            )
 
     @property
     def multiplier(self) -> float:
@@ -238,10 +244,29 @@ def _half_log_factor(snr: SnrValue) -> float:
     return 0.5 * math.log2(1.0 + snr.linear_ratio)
 
 
+def _overhead(n, frequency: float) -> float:
+    """Per-symbol time overhead n / F, which overflows for a tiny F."""
+    overhead = n / frequency
+    if overhead == math.inf:
+        raise DomainError(
+            f"frequency {frequency!r} Hz is too small: the symbol overhead "
+            f"{n!r} / F overflows a float"
+        )
+    return overhead
+
+
 def _result(multiplier, overhead, d, echo, notes=()):
+    rate = _symbol_rate(multiplier, overhead, d.value)
+    if rate == math.inf:
+        order = echo.get("modulation_order")
+        raise ValueError(
+            f"capacity overflows a float: multiplier {multiplier!r}"
+            + ("" if order is None else f" (modulation order {order})")
+            + f" over a symbol period of {overhead + d.value!r} s"
+        )
     asymptote_ = math.inf if d.value == 0 else _symbol_rate(multiplier, 0.0, d.value)
     return CapacityResult(
-        rate=_symbol_rate(multiplier, overhead, d.value),
+        rate=rate,
         limiting_asymptote=asymptote_,
         inputs_echo=echo,
         notes=tuple(notes),
@@ -331,7 +356,7 @@ def mostly_digital_capacity(
         "rms_delay_spread_s": d.value,
     }
     echo.update(_modulation_echo(m))
-    overhead = s.sampling_factor / s.sampling_frequency
+    overhead = _overhead(s.sampling_factor, s.sampling_frequency)
     return _result(m.multiplier, overhead, d, echo, _modulation_notes(m))
 
 
@@ -353,7 +378,7 @@ def mixed_capacity(
         "rms_delay_spread_s": d.value,
     }
     echo.update(_modulation_echo(m))
-    return _result(m.multiplier, 1.0 / f.value, d, echo, _modulation_notes(m))
+    return _result(m.multiplier, _overhead(1.0, f.value), d, echo, _modulation_notes(m))
 
 
 def asymptote(d: DelaySpread, m: ModulationScheme | None = None) -> float:
@@ -397,11 +422,24 @@ def capacity_derivative(
     Strictly positive, strictly decreasing in frequency, and tending to
     zero as the capacity flattens onto the 1/d_RMS asymptote -- which is
     why chasing ever-higher sampling or clock rates stops paying off.
+
+    Raises:
+        DomainError: the overhead n/F or the derivative leaves the float
+            range (F below about 1e-154 Hz, or (n/F + d)^2 underflowing to 0).
     """
     if not 0 < frequency < math.inf:
         raise ValueError("frequency must be > 0 Hz")
     n = _overhead_factor(mode, sampling_factor)
-    return _derivative(n / frequency, frequency, d.value)
+    overhead = _overhead(n, frequency)
+    try:
+        value = _derivative(overhead, frequency, d.value)
+    except ZeroDivisionError:  # (n/F + d)^2 underflowed to 0
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(
+            f"the capacity derivative at frequency {frequency!r} Hz is out of float range"
+        )
+    return value
 
 
 def percent_of_max(
@@ -426,7 +464,7 @@ def percent_of_max(
             "(the asymptote is unbounded)"
         )
     n = _overhead_factor(mode, sampling_factor)
-    return _fraction_of_max(n / frequency, d.value)
+    return _fraction_of_max(_overhead(n, frequency), d.value)
 
 
 def required_frequency(
@@ -496,9 +534,9 @@ def capacity_grid(
 
     Raises what the scalar calls raise at the first point, in (d, n, F)
     order, that they reject: the points a vectorised screen flags (F not
-    positive and finite, n below 2 or not finite, d = 0 with
-    percent_of_max, capacity outside (0, asymptote]) are re-run through the
-    scalar functions.
+    positive and finite, n below 2 or not finite, an overhead n/F, capacity
+    or derivative that is not finite, d = 0 with percent_of_max, capacity
+    outside (0, asymptote]) are re-run through the scalar functions.
 
     Returns:
         output name -> array of shape (len(d), len(n) or 1, len(F)).
@@ -522,15 +560,19 @@ def capacity_grid(
     with np.errstate(all="ignore"):
         overhead = n / f
         values = {}
-        suspect = ~((f > 0) & np.isfinite(f))
+        suspect = ~((f > 0) & np.isfinite(f)) | ~np.isfinite(overhead)
         if digital:
             suspect = suspect | ~((n >= 2) & np.isfinite(n))
         if "capacity" in outputs:
             rate = _symbol_rate(multiplier, overhead, d)
             values["capacity"] = rate
-            suspect = suspect | ~(rate > 0) | (rate > _symbol_rate(multiplier, 0.0, d))
+            suspect = (
+                suspect | ~((rate > 0) & np.isfinite(rate))
+                | (rate > _symbol_rate(multiplier, 0.0, d))
+            )
         if "derivative" in outputs:
             values["derivative"] = _derivative(overhead, f, d)
+            suspect = suspect | ~np.isfinite(values["derivative"])
         if "percent_of_max" in outputs:
             values["percent_of_max"] = _fraction_of_max(overhead, d)
             suspect = suspect | (d == 0)

@@ -29,13 +29,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-_CLI_TABLES = {
-    "adc-state-of-art": datasets.ADC_STATE_OF_ART,
-    "adc-market": datasets.ADC_MARKET,
-    "channels": datasets.CHANNELS,
-    "pulse-generators": datasets.PULSE_GENERATORS,
-    "antenna-configs": datasets.ANTENNA_CONFIGS,
-}
+_CLI_TABLES = {table.replace("_", "-"): table for table in datasets.TABLE_IDS}
 
 _CLI_MODES = {
     "ideal": "ideal",

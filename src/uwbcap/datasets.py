@@ -12,12 +12,13 @@ ingestion produces new lists and never touches them.
 """
 
 import csv
-import io
+import math
+import operator
 import os
 from dataclasses import dataclass, fields
 
 from .errors import SchemaError
-from .units import FREQUENCY, TIME, format_quantity, parse_quantity
+from .units import FREQUENCY, POWER, TIME, format_quantity, parse_quantity
 
 STATE_OF_ART = "state_of_art"
 MARKET = "market"
@@ -48,10 +49,12 @@ class AdcEntry:
     reference: str = ""
 
     def __post_init__(self):
-        if self.sampling_frequency <= 0:
+        if not 0 < self.sampling_frequency < math.inf:
             raise ValueError("sampling_frequency must be > 0 Hz")
         if not 1 <= self.bit_precision <= 32:
             raise ValueError("bit_precision must be within 1..32 bits")
+        if self.dissipated_power is not None and not 0 < self.dissipated_power < math.inf:
+            raise ValueError("dissipated_power must be finite and > 0 W when present")
         if self.source not in (STATE_OF_ART, MARKET):
             raise ValueError(f"source must be {STATE_OF_ART!r} or {MARKET!r}")
 
@@ -67,7 +70,7 @@ class ChannelEnvironment:
     def __post_init__(self):
         if self.sight not in (LOS, NLOS):
             raise ValueError(f"sight must be {LOS!r} or {NLOS!r}")
-        if self.rms_delay_spread <= 0:
+        if not 0 < self.rms_delay_spread < math.inf:
             raise ValueError("rms_delay_spread must be > 0 s")
 
 
@@ -83,13 +86,13 @@ class PulseGeneratorEntry:
     reference: str = ""
 
     def __post_init__(self):
-        if self.min_pulse_duration <= 0:
+        if not 0 < self.min_pulse_duration < math.inf:
             raise ValueError("min_pulse_duration must be > 0 s")
         if (
             self.max_pulse_duration is not None
-            and self.max_pulse_duration < self.min_pulse_duration
+            and not self.min_pulse_duration <= self.max_pulse_duration < math.inf
         ):
-            raise ValueError("max_pulse_duration must be >= min_pulse_duration")
+            raise ValueError("max_pulse_duration must be finite and >= min_pulse_duration")
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ class AntennaConfigEntry:
         for width in (self.tx_beamwidth, self.rx_beamwidth):
             if not 0 < width <= 360:
                 raise ValueError("beamwidths must lie in (0, 360] degrees")
-        if self.rms_delay_spread <= 0:
+        if not 0 < self.rms_delay_spread < math.inf:
             raise ValueError("rms_delay_spread must be > 0 s")
 
 
@@ -210,121 +213,78 @@ def load_builtin(table_id: str) -> list:
 # CSV schemas
 # ---------------------------------------------------------------------------
 
-ADC_SCHEMA = (
-    "designer",
-    "year",
-    "sampling_frequency",
-    "bit_precision",
-    "dissipated_power_w",
-    "source",
-    "reference",
-)
-CHANNEL_SCHEMA = ("name", "sight", "rms_delay_spread")
-PULSE_GENERATOR_SCHEMA = (
-    "year",
-    "author",
-    "technology",
-    "min_pulse_duration",
-    "max_pulse_duration",
-    "reference",
-)
-ANTENNA_SCHEMA = ("band", "tx_beamwidth_deg", "rx_beamwidth_deg", "rms_delay_spread")
-
-_SCHEMAS = {
-    "adc": ADC_SCHEMA,
-    "channel": CHANNEL_SCHEMA,
-    "pulse_generator": PULSE_GENERATOR_SCHEMA,
-    "antenna": ANTENNA_SCHEMA,
-}
-
-_TABLE_TO_SCHEMA = {
-    ADC_STATE_OF_ART: "adc",
-    ADC_MARKET: "adc",
-    CHANNELS: "channel",
-    PULSE_GENERATORS: "pulse_generator",
-    ANTENNA_CONFIGS: "antenna",
-}
-
-_ENTRY_TO_SCHEMA = {
-    AdcEntry: "adc",
-    ChannelEnvironment: "channel",
-    PulseGeneratorEntry: "pulse_generator",
-    AntennaConfigEntry: "antenna",
-}
+# A codec is a (parse, write) pair: parse turns a CSV cell into a field
+# value, write turns the value back into a cell that parses to it exactly.
+_TEXT = (str.strip, str)
+_INT = (int, str)
+_FLOAT = (float, str)  # str of a float is its repr: lossless
 
 
-def _blank(cell: str) -> bool:
-    return cell.strip() in ("", "-")
+def _quantity(dimension):
+    return (
+        lambda cell: parse_quantity(cell, expect=dimension),
+        lambda value: format_quantity(value, dimension),
+    )
 
 
-def _opt_int(cell: str) -> int | None:
-    return None if _blank(cell) else int(cell)
-
-
-def _watts(cell: str) -> float | None:
+def _watts(cell: str) -> float:
     """Power cell: bare number in watts, or a suffixed W/mW quantity."""
-    if _blank(cell):
-        return None
     try:
         return float(cell)
     except ValueError:
-        return parse_quantity(cell, expect="power")
+        return parse_quantity(cell, expect=POWER)
 
 
-def _parse_adc(row) -> AdcEntry:
-    return AdcEntry(
-        designer=row["designer"].strip(),
-        year=_opt_int(row["year"]),
-        sampling_frequency=parse_quantity(row["sampling_frequency"], expect=FREQUENCY),
-        bit_precision=int(row["bit_precision"]),
-        dissipated_power=_watts(row["dissipated_power_w"]),
-        source=row["source"].strip(),
-        reference=row["reference"].strip(),
+def _optional(codec):
+    """A codec whose blank (or ``-``) cell is None, and None a blank cell."""
+    parse, write = codec
+    return (
+        lambda cell: None if cell.strip() in ("", "-") else parse(cell),
+        lambda value: "" if value is None else write(value),
     )
 
 
-def _parse_channel(row) -> ChannelEnvironment:
-    return ChannelEnvironment(
-        name=row["name"].strip(),
-        sight=row["sight"].strip(),
-        rms_delay_spread=parse_quantity(row["rms_delay_spread"], expect=TIME),
-    )
-
-
-def _parse_pulse_generator(row) -> PulseGeneratorEntry:
-    max_cell = row["max_pulse_duration"]
-    return PulseGeneratorEntry(
-        year=int(row["year"]),
-        author=row["author"].strip(),
-        technology=row["technology"].strip(),
-        min_pulse_duration=parse_quantity(row["min_pulse_duration"], expect=TIME),
-        max_pulse_duration=None if _blank(max_cell) else parse_quantity(max_cell, expect=TIME),
-        reference=row["reference"].strip(),
-    )
-
-
-def _parse_antenna(row) -> AntennaConfigEntry:
-    return AntennaConfigEntry(
-        band=row["band"].strip(),
-        tx_beamwidth=float(row["tx_beamwidth_deg"]),
-        rx_beamwidth=float(row["rx_beamwidth_deg"]),
-        rms_delay_spread=parse_quantity(row["rms_delay_spread"], expect=TIME),
-    )
-
-
-_PARSERS = {
-    "adc": _parse_adc,
-    "channel": _parse_channel,
-    "pulse_generator": _parse_pulse_generator,
-    "antenna": _parse_antenna,
+#: schema name -> (entry type, one (column, codec) pair per field, in field order)
+_SCHEMAS = {
+    "adc": (AdcEntry, (
+        ("designer", _TEXT),
+        ("year", _optional(_INT)),
+        ("sampling_frequency", _quantity(FREQUENCY)),
+        ("bit_precision", _INT),
+        ("dissipated_power_w", _optional((_watts, str))),
+        ("source", _TEXT),
+        ("reference", _TEXT),
+    )),
+    "channel": (ChannelEnvironment, (
+        ("name", _TEXT),
+        ("sight", _TEXT),
+        ("rms_delay_spread", _quantity(TIME)),
+    )),
+    "pulse_generator": (PulseGeneratorEntry, (
+        ("year", _INT),
+        ("author", _TEXT),
+        ("technology", _TEXT),
+        ("min_pulse_duration", _quantity(TIME)),
+        ("max_pulse_duration", _optional(_quantity(TIME))),
+        ("reference", _TEXT),
+    )),
+    "antenna": (AntennaConfigEntry, (
+        ("band", _TEXT),
+        ("tx_beamwidth_deg", _FLOAT),
+        ("rx_beamwidth_deg", _FLOAT),
+        ("rms_delay_spread", _quantity(TIME)),
+    )),
 }
 
+_COLUMNS_BY_TYPE = dict(_SCHEMAS.values())
 
-def _schema_name(table_id: str) -> str:
+
+def _schema(table_id: str):
     if table_id in _SCHEMAS:
-        return table_id
-    if table_id in _TABLE_TO_SCHEMA:
-        return _TABLE_TO_SCHEMA[table_id]
+        return _SCHEMAS[table_id]
+    if table_id in _BUILTINS:
+        entry_type = type(_BUILTINS[table_id][0])
+        return entry_type, _COLUMNS_BY_TYPE[entry_type]
     raise ValueError(
         f"unknown table {table_id!r}; valid ids: "
         + ", ".join(list(TABLE_IDS) + list(_SCHEMAS))
@@ -348,24 +308,23 @@ def ingest_csv(path, table_id: str) -> list:
         FileNotFoundError: missing file.
         SchemaError: wrong header, or one or more malformed rows.
     """
-    schema = _schema_name(table_id)
-    columns = _SCHEMAS[schema]
-    parser = _PARSERS[schema]
+    entry_type, columns = _schema(table_id)
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as handle:
-        return _ingest_stream(handle, columns, parser, str(path))
+        return _ingest_stream(handle, entry_type, columns, str(path))
 
 
-def _ingest_stream(handle, columns, parser, label):
+def _ingest_stream(handle, entry_type, columns, label):
+    names = tuple(column for column, _ in columns)
     reader = csv.reader(handle)
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaError(f"{label}: empty file, expected header {','.join(columns)}")
-    if tuple(cell.strip() for cell in header) != columns:
+        raise SchemaError(f"{label}: empty file, expected header {','.join(names)}")
+    if tuple(cell.strip() for cell in header) != names:
         raise SchemaError(
-            f"{label}: header mismatch: expected {','.join(columns)}, "
+            f"{label}: header mismatch: expected {','.join(names)}, "
             f"got {','.join(header)}"
         )
     entries = []
@@ -378,9 +337,10 @@ def _ingest_stream(handle, columns, parser, label):
                 f"line {line_no}: expected {len(columns)} fields, got {len(cells)}"
             )
             continue
-        row = dict(zip(columns, cells))
         try:
-            entries.append(parser(row))
+            entries.append(
+                entry_type(*(parse(cell) for (_, (parse, _)), cell in zip(columns, cells)))
+            )
         except ValueError as exc:
             problems.append(f"line {line_no}: {exc}")
     if problems:
@@ -388,82 +348,48 @@ def _ingest_stream(handle, columns, parser, label):
     return entries
 
 
-def _csv_cell(value, dimension=None) -> str:
-    if value is None:
-        return ""
-    if dimension is not None:
-        return format_quantity(value, dimension)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def to_csv(entries) -> str:
     """Serialize homogeneous entries back to their schema, losslessly.
 
     Floats are written at repr precision so every value survives a
     serialize/parse round trip bit-for-bit.
+
+    Raises:
+        ValueError: an empty list, or entries that are not all of one
+            survey entry type.
     """
+    from .explorer import emit_csv_string  # explorer imports this module
+
     if not entries:
         raise ValueError("cannot infer a schema from an empty entry list")
-    schema = _ENTRY_TO_SCHEMA[type(entries[0])]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_SCHEMAS[schema])
+    entry_type = type(entries[0])
+    if entry_type not in _COLUMNS_BY_TYPE:
+        raise ValueError(f"{entry_type.__name__} is not a survey entry type")
+    columns = tuple(zip(fields(entry_type), _COLUMNS_BY_TYPE[entry_type]))
+    rows = []
     for entry in entries:
-        if _ENTRY_TO_SCHEMA.get(type(entry)) != schema:
+        if type(entry) is not entry_type:
             raise ValueError("entries must all belong to the same table")
-        if schema == "adc":
-            writer.writerow(
-                [
-                    entry.designer,
-                    _csv_cell(entry.year),
-                    _csv_cell(entry.sampling_frequency, FREQUENCY),
-                    entry.bit_precision,
-                    _csv_cell(entry.dissipated_power),
-                    entry.source,
-                    entry.reference,
-                ]
-            )
-        elif schema == "channel":
-            writer.writerow(
-                [entry.name, entry.sight, _csv_cell(entry.rms_delay_spread, TIME)]
-            )
-        elif schema == "pulse_generator":
-            writer.writerow(
-                [
-                    entry.year,
-                    entry.author,
-                    entry.technology,
-                    _csv_cell(entry.min_pulse_duration, TIME),
-                    _csv_cell(entry.max_pulse_duration, TIME),
-                    entry.reference,
-                ]
-            )
-        else:
-            writer.writerow(
-                [
-                    entry.band,
-                    _csv_cell(entry.tx_beamwidth),
-                    _csv_cell(entry.rx_beamwidth),
-                    _csv_cell(entry.rms_delay_spread, TIME),
-                ]
-            )
-    return buffer.getvalue()
+        rows.append({
+            column: write(getattr(entry, field.name))
+            for field, (column, (_, write)) in columns
+        })
+    return emit_csv_string(rows)
 
 
 # ---------------------------------------------------------------------------
 # Queries
 # ---------------------------------------------------------------------------
 
+#: Tried in this order, so each two-character operator wins over its prefix.
 _COMPARATORS = {
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=": lambda a, b: a == b,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "=": operator.eq,
 }
 
 
@@ -478,13 +404,13 @@ def _check_field(entries, name: str):
 
 
 def _parse_predicate(where: str):
-    for op in ("<=", ">=", "==", "!=", "<", ">", "="):
+    for op, compare in _COMPARATORS.items():
         if op in where:
             name, _, literal = where.partition(op)
-            return name.strip(), _COMPARATORS[op], _literal(literal.strip())
+            return name.strip(), compare, _literal(literal.strip())
     raise ValueError(
         f"cannot parse predicate {where!r}; expected FIELD OP VALUE with "
-        "OP one of <=, >=, ==, !=, <, >, ="
+        "OP one of " + ", ".join(_COMPARATORS)
     )
 
 

@@ -516,17 +516,20 @@ def _csv_floats(values) -> list:
 
 
 def _json_cell(value) -> str:
-    # json writes finite floats as float.__repr__
+    # json writes finite floats as float.__repr__; a float within 10 digits
+    # of the largest keeps full precision, as rounding it up overflows to inf
     if isinstance(value, float) and math.isfinite(value):
-        return repr(float(_TEN_DIGITS(value)))
+        rounded = float(_TEN_DIGITS(value))
+        return repr(rounded if math.isfinite(rounded) else value)
     return json.dumps(value)
 
 
 def _json_floats(values) -> list:
     import numpy as np
 
-    if np.isfinite(values).all():
-        return list(map(repr, map(float, map(_TEN_DIGITS, values.tolist()))))
+    rounded = list(map(float, map(_TEN_DIGITS, values.tolist())))
+    if np.isfinite(rounded).all():
+        return list(map(repr, rounded))
     return list(map(_json_cell, values.tolist()))
 
 
@@ -569,7 +572,8 @@ def emit_csv(rows, stream) -> None:
 
 def emit_json(rows, stream) -> None:
     """Write a ``SweepTable`` or a list of rows as a JSON array of objects
-    with unit-annotated names, floats rounded to 10 significant digits,
+    with unit-annotated names, floats rounded to 10 significant digits
+    (those that would round past the largest float at full precision),
     laid out as ``json.dump(..., indent=2)`` lays it out."""
     columns = _columns(rows)
     if not columns:

@@ -28,6 +28,9 @@ from .units import TIME, format_quantity
 _POWER_SUM_TOL = 1e-12
 #: exp(-x) underflows to 0 in double precision for x above about 745.13.
 _UNDERFLOW_DECAYS = 746.0
+#: Longest tap grid built: 80 MB per float array, and the calibration holds
+#: several such arrays (delays, powers, their products) at once.
+_MAX_TAPS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,16 +184,17 @@ def synthesize_channel(
         target_d_rms: wanted RMS delay spread in seconds (finite, > 0).
         tap_spacing:  grid step in seconds (finite, > 0); at most
                       target_d_rms / 10.
-        num_taps:     grid length; the span num_taps * tap_spacing must
-                      cover at least 10 * target_d_rms, and is too long
-                      once the last tap power underflows to 0.
+        num_taps:     grid length, at most 10**7; the span
+                      num_taps * tap_spacing must cover at least
+                      10 * target_d_rms, and is too long once the last tap
+                      power underflows to 0.
         rng_seed:     None for the deterministic profile, else anything
                       ``numpy.random.default_rng`` accepts.
 
     Raises:
         DomainError: a spread or spacing that is not finite and > 0, or an
-            infeasible discretization (grid too coarse, too short, or so
-            long that tap powers underflow to 0).
+            infeasible discretization (grid too coarse, too short, longer
+            than 10**7 taps, or so long that tap powers underflow to 0).
     """
     _require_finite_positive("target_d_rms", target_d_rms)
     _require_finite_positive("tap_spacing", tap_spacing)
@@ -208,6 +212,11 @@ def synthesize_channel(
             "infeasible discretization: num_taps * tap_spacing must stay below "
             f"{_UNDERFLOW_DECAYS * 4.0 * target_d_rms!r} s, past which tap powers "
             "underflow to 0"
+        )
+    if num_taps > _MAX_TAPS:
+        raise DomainError(
+            f"infeasible discretization: num_taps = {num_taps} exceeds the "
+            f"{_MAX_TAPS} taps a grid may hold"
         )
     if num_taps * tap_spacing < 10.0 * target_d_rms:
         raise DomainError(
@@ -319,7 +328,8 @@ def validate_assumption(
     Raises:
         DomainError: a delay spread, pulse duration or tap spacing that is
             not finite and > 0, a guard multiple that is not finite and
-            >= 0, or an infeasible discretization.
+            >= 0, a tap spacing so fine that the default grid would exceed
+            10**7 taps, or an infeasible discretization.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -333,7 +343,13 @@ def validate_assumption(
         tap_spacing = target_d_rms / 40.0
     _require_finite_positive("tap_spacing", tap_spacing)
     if num_taps is None:
-        num_taps = int(math.ceil(15.0 * target_d_rms / tap_spacing))
+        taps = 15.0 * target_d_rms / tap_spacing
+        if not taps <= _MAX_TAPS:
+            raise DomainError(
+                f"tap_spacing {tap_spacing!r} s is too fine: the default grid "
+                f"of 15 * d_RMS / tap_spacing = {taps!r} taps exceeds {_MAX_TAPS}"
+            )
+        num_taps = int(math.ceil(taps))
 
     profile = synthesize_channel(target_d_rms, tap_spacing, num_taps)
     delays, powers = profile.delays, profile.powers

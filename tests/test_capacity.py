@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +121,10 @@ class TestDomainTypes:
             ModulationScheme(1)
         with pytest.raises(ValueError):
             ModulationScheme(2, "dB")
+        # M - 1 past the largest float (the log2 multiplier stays small)
+        with pytest.raises(ValueError, match="modulation order 1000.* too large"):
+            ModulationScheme(10**400)
+        assert ModulationScheme(10**400, MARY_LOG2).multiplier == pytest.approx(400 * math.log2(10))
 
     def test_capacity_result_invariants(self):
         with pytest.raises(ValueError):
@@ -377,6 +382,19 @@ class TestCapacityDerivative:
             assert 0.0 < analytic < previous  # strictly decreasing in frequency
             previous = analytic
 
+    @pytest.mark.parametrize(
+        "mode, frequency, d_rms, n",
+        [
+            (MIXED, 1e-160, 1e-9, None),  # (n/F)/F overflows
+            (MOSTLY_DIGITAL, 1e-155, 1e-9, 4.0),
+            (MIXED, 1e-320, 1e-9, None),  # n/F itself overflows
+            (MIXED, 1e162, 0.0, None),  # (n/F + d)^2 underflows to 0
+        ],
+    )
+    def test_out_of_range_derivative_is_a_domain_error(self, mode, frequency, d_rms, n):
+        with pytest.raises(DomainError, match=re.escape(f"frequency {frequency!r} Hz")):
+            capacity_derivative(mode, frequency, DelaySpread(d_rms), n)
+
     def test_mode_and_factor_validation(self):
         with pytest.raises(ValueError):
             capacity_derivative("analog", 1e9, DelaySpread(1e-9))
@@ -438,6 +456,26 @@ class TestPercentOfMax:
                 percent_of_max(MIXED, bad, DelaySpread(1e-9))
             with pytest.raises(ValueError, match="sampling_factor"):
                 percent_of_max(MOSTLY_DIGITAL, 1e9, DelaySpread(1e-9), bad)
+
+
+class TestOutOfRangeCapacity:
+    def test_overflowing_overhead_names_the_frequency(self):
+        d = DelaySpread(17e-9)
+        with pytest.raises(DomainError, match="frequency 1e-320 Hz"):
+            mostly_digital_capacity(SamplingConfig(1e-320, 4.0), d)
+        with pytest.raises(DomainError, match="frequency 1e-320 Hz"):
+            mixed_capacity(CircuitFrequency(1e-320), d)
+        with pytest.raises(DomainError, match="frequency 1e-320 Hz"):
+            percent_of_max(MIXED, 1e-320, d)
+
+    def test_overflowing_rate_names_the_modulation_order(self):
+        order = 10**308  # M - 1 = 1e308 still fits a float; the rate does not
+        with pytest.raises(ValueError, match=f"modulation order {order}"):
+            mostly_digital_capacity(
+                SamplingConfig(2e9, 4.0), DelaySpread(17e-9), ModulationScheme(order)
+            )
+        with pytest.raises(ValueError, match="capacity overflows a float"):
+            binary_capacity(PulseSpec.from_bandwidth(1.7976931348623157e308), DelaySpread(0.0))
 
 
 class TestRequiredFrequency:

@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uwbcap.cli import main
 from uwbcap.datasets import CHANNELS, ingest_csv, load_builtin
@@ -398,6 +402,11 @@ class TestValidateIsiCommand:
             # tap powers past ~745 decay constants underflow to 0
             ("--delay-spread", "1ns", "--pulse-duration", "0.25ns", "--num-taps", "40000",
              "--deterministic"),
+            # the default tap grid would exceed its cap (1.5e12 taps; inf)
+            ("--delay-spread", "1ns", "--pulse-duration", "0.25ns", "--tap-spacing", "1e-20s",
+             "--deterministic"),
+            ("--delay-spread", "1ns", "--pulse-duration", "0.25ns", "--tap-spacing", "1e-320s",
+             "--deterministic"),
         ],
     )
     def test_out_of_domain_inputs_exit_three_without_traceback(self, capsys, argv):
@@ -416,6 +425,86 @@ class TestValidateIsiCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 2
         assert rows[0]["guard_multiple"] == "1"
+
+
+# ---------------------------------------------------------------------------
+# generated capacity and sweep arguments
+# ---------------------------------------------------------------------------
+
+_MAX_FLOAT = 1.7976931348623157e308
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+# subnormal to near-max, and the values where n/F, the derivative and the
+# rate start to leave the float range
+_hertz = (
+    st.floats(min_value=5e-324, max_value=_MAX_FLOAT)
+    | st.floats(min_value=1e6, max_value=1e12)
+    | st.sampled_from((5e-324, 1e-320, 1e-160, 1e-154, 1e162, 1e308, _MAX_FLOAT))
+)
+_units = st.sampled_from(("Hz", "Hz", "GHz", "GSPS"))
+_spreads = st.builds(
+    "{!r}s".format,
+    st.floats(min_value=0.0, max_value=_MAX_FLOAT)
+    | st.sampled_from((0.0, 1e-320, 17e-9, 1.0)),
+)
+_factors = (
+    st.floats(min_value=1.0, max_value=_MAX_FLOAT) | st.floats(min_value=2.0, max_value=64.0)
+).map(repr)
+_orders = (
+    st.integers(min_value=2, max_value=16)
+    | st.integers(min_value=2, max_value=10**400)
+    | st.sampled_from((10**308, 10**400))
+).map(str)
+
+
+@st.composite
+def _capacity_and_sweep_argv(draw):
+    digital = draw(st.booleans())
+    mary = ["--mary", draw(_orders), "--mary-convention", draw(st.sampled_from(("paper", "log2")))]
+    fmt = ["--format", draw(st.sampled_from(("human", "csv", "json")))]
+    unit = draw(_units)
+    if draw(st.booleans()):
+        frequency = f"{draw(_hertz)!r}{unit}"
+        if digital:
+            knob = ["digital", "--fs", frequency, "--nsampling", draw(_factors)]
+        else:
+            knob = ["mixed", "--fcircuit", frequency]
+        return ["capacity", *knob, "--delay-spread", draw(_spreads), *mary, *fmt]
+    if digital:
+        axis = ["--mode", "digital", "--param", "fs", "--nsampling", draw(_factors)]
+    else:
+        axis = ["--mode", "mixed", "--param", "fcircuit"]
+    start, stop = sorted(draw(st.lists(_hertz, min_size=2, max_size=2, unique=True)))
+    return [
+        "sweep", *axis, "--from", f"{start!r}{unit}", "--to", f"{stop!r}{unit}",
+        "--points", str(draw(st.integers(2, 4))), draw(st.sampled_from(("--log", "--linear"))),
+        "--delay-spreads", ",".join(draw(st.lists(_spreads, min_size=1, max_size=2))),
+        "--outputs", "capacity,derivative,percent", *mary, *fmt,
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_capacity_and_sweep_argv())
+# (n/F + d)^2 underflows to 0 in the derivative
+@example(
+    "sweep --mode mixed --param fcircuit --from 1e162Hz --to 2e162Hz --points 2 "
+    "--delay-spreads 0s --outputs capacity,derivative,percent --format csv".split()
+)
+# 10-digit JSON rounding of the largest float overflows
+@example(
+    "sweep --mode mixed --param fcircuit --from 1Hz --to 1.7976931348623157e308Hz --points 2 "
+    "--delay-spreads 1s --outputs capacity,derivative,percent --format json".split()
+)
+def test_generated_capacity_and_sweep_argv_never_print_nan_inf_or_crash(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not _NON_FINITE.search(out.getvalue()), out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,16 @@ def _argv_set() -> list:
     for which in ("iv", "vii"):
         for fmt in ("human", "csv", "json"):
             cases.append(f"table {which} --format {fmt}")
+    for table, query in (
+        ("adc-state-of-art", "--max sampling_frequency"),
+        ("adc-market", "--where sampling_frequency>=1GSPS"),
+        ("channels", "--where sight=NLOS"),
+        ("pulse-generators", "--min min_pulse_duration"),
+        ("antenna-configs", "--where rms_delay_spread<5ns"),
+    ):
+        for fmt in ("human", "csv", "json"):
+            cases.append(f"datasets list {table} --format {fmt}")
+        cases.append(f"datasets list {table} {query} --format csv")
     cases += [
         "capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --format csv",
         "capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --mary 5 --format csv",
@@ -167,6 +177,27 @@ GOLDEN = {
     'table vii --format human': (0, '2697c995bbac136360a2a24d534a43687fcdf03ce276dccccd5c0f90f67aad69'),
     'table vii --format csv': (0, '10a34703ad905491d84dfd6c304256ad0a8ae770eb528e7d519a62f526f3851a'),
     'table vii --format json': (0, 'e26e51e5065f78e1ce8c4de55ccaa886dee8722c9283824bb85cb919a61d38ab'),
+    # the datasets digests were captured from the per-schema survey writer
+    'datasets list adc-state-of-art --format human': (0, '1829c4d7d100e9dbf258753983de3ce4ea90c74f5902c0ea7af15738498b5da3'),
+    'datasets list adc-state-of-art --format csv': (0, '6efff6686438ad6a8ad2ab3a66bbfd5ca557441cc50c3b5af16ed9cb62022faf'),
+    'datasets list adc-state-of-art --format json': (0, '775c5aa4c6aa1023b91a6e2ce2a19a61cf7ce3c0a64322d2fdb02224a4d98564'),
+    'datasets list adc-state-of-art --max sampling_frequency --format csv': (0, 'dc4d2611f9c980ac6e47c799c21d23534e02ce000c2553afe0fbba83a3300d7d'),
+    'datasets list adc-market --format human': (0, 'a8caf95591ef3ce586ba4c83c7b3a02093a1fde9c0a95941a7dc0a61fe4b58cd'),
+    'datasets list adc-market --format csv': (0, '1c2ab6b731cac251ce684b387ef60ffa84da8b9c32d5ccc3299e7128f11b4d92'),
+    'datasets list adc-market --format json': (0, '0faadd56a431d7c8d9db0644b31c31bf57c07a9f15681377e10738b5c0edb5b3'),
+    'datasets list adc-market --where sampling_frequency>=1GSPS --format csv': (0, '611eefdf2c658ada65cf290f8ac14f233ff1e84984f96264773981e147f96ea8'),
+    'datasets list channels --format human': (0, '8c2e43456e596b67c5a59fd04fa429248e95452bdfea2fb99be6ac8def5c76bf'),
+    'datasets list channels --format csv': (0, '2d054f267905c9005b8a9d2614c3c8b5cfdfa1fe43b8455c32e987a59bdb29df'),
+    'datasets list channels --format json': (0, '63fab6d9b743267cb24d929217e53c06fe94f8a9d3260b89d7129cda5e778264'),
+    'datasets list channels --where sight=NLOS --format csv': (0, '0f70f264f284f3a016737c8a3b8768f5720d6884aba16a1da2290911661f4be5'),
+    'datasets list pulse-generators --format human': (0, '899e2ec34c810dc6aa4184bdfc8576463b2586058b898bca5f6eeae5e2d87ac6'),
+    'datasets list pulse-generators --format csv': (0, 'd6755ec913bc5d0662358212dbf8de0755f19e479f965226b6bbf280ac2f8b8b'),
+    'datasets list pulse-generators --format json': (0, 'f65c2e49be2a47e2b7c734779183c537e6e8ec56695a968472d60a79d4c927e9'),
+    'datasets list pulse-generators --min min_pulse_duration --format csv': (0, 'b373e4525c40f7d84801f4d18784c9b4fc1bbe6f10bd236561eaed31c545824a'),
+    'datasets list antenna-configs --format human': (0, '4667310582bf35c9156804652bf474e67a5b7bb5ca21fa952f1dfe714e09c591'),
+    'datasets list antenna-configs --format csv': (0, 'b4d4f335d1cf75dab1571ffb4f69523884ef624dbc2fa1c5cdfc91e841561dd7'),
+    'datasets list antenna-configs --format json': (0, '2a61f927f117238abee6cdc22ec02f3199278c57e615b88ebbf7fb0bba340e25'),
+    'datasets list antenna-configs --where rms_delay_spread<5ns --format csv': (0, 'beb2ed3fcf7c29e72a6acebf9e12597cf0a939432359cf76c24d6af4af82c5be'),
     'capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --format csv': (0, 'e7838cca74bab96473ccc6c95c1cbec7b45742f62789eb4fd35630c1153b56bf'),
     'capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --mary 5 --format csv': (0, '3145dd52b1c7e44c3c4c5858d391eeb94689c5e9743da3c18639a4e01ecafae5'),
     'capacity mixed --fcircuit 10.87GHz --delay-spread 0.87ns --format csv': (0, 'ba2dda38c66625597c98862e0aa695eb0254994e5250dfb5ce0c33488416d4c7'),

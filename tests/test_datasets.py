@@ -1,17 +1,26 @@
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uwbcap.datasets import (
     ADC_MARKET,
     ADC_STATE_OF_ART,
     ANTENNA_CONFIGS,
     CHANNELS,
+    LOS,
     MARKET,
     NLOS,
     PULSE_GENERATORS,
     STATE_OF_ART,
     TABLE_IDS,
+    UWB_3_10GHZ,
+    UWB_60GHZ,
     AdcEntry,
+    AntennaConfigEntry,
     ChannelEnvironment,
+    PulseGeneratorEntry,
     ingest_csv,
     load_builtin,
     query,
@@ -116,6 +125,90 @@ def test_csv_round_trip_is_lossless(tmp_path):
         assert ingest_csv(path, table_id) == entries
 
 
+# text cells with CSV's special characters; ingestion strips the ends of a
+# cell, so generated text has no leading or trailing whitespace
+_texts = st.one_of(
+    st.text(alphabet=',"\r\n -ab'),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+).filter(lambda text: text == text.strip())
+_positive = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+_years = st.integers(min_value=-10**18, max_value=10**18)
+
+
+@st.composite
+def _pulse_generators(draw):
+    durations = sorted(draw(st.lists(_positive, min_size=2, max_size=2)))
+    return PulseGeneratorEntry(
+        draw(_years), draw(_texts), draw(_texts), durations[0],
+        draw(st.none() | st.just(durations[1])), draw(_texts),
+    )
+
+
+_ENTRIES = {
+    "adc": st.builds(
+        AdcEntry, _texts, st.none() | _years, _positive, st.integers(1, 32),
+        st.none() | _positive, st.sampled_from((STATE_OF_ART, MARKET)), _texts,
+    ),
+    "channel": st.builds(ChannelEnvironment, _texts, st.sampled_from((LOS, NLOS)), _positive),
+    "pulse_generator": _pulse_generators(),
+    "antenna": st.builds(
+        AntennaConfigEntry, st.sampled_from((UWB_3_10GHZ, UWB_60GHZ)),
+        st.floats(min_value=5e-324, max_value=360), st.floats(min_value=5e-324, max_value=360),
+        _positive,
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_ENTRIES)).flatmap(
+    lambda schema: st.tuples(st.just(schema), st.lists(_ENTRIES[schema], min_size=1, max_size=4))
+))
+@example(("channel", [ChannelEnvironment("a\rb", LOS, 1e-9)]))
+def test_to_csv_then_ingest_csv_is_lossless(tmp_path_factory, schema_and_entries):
+    schema, entries = schema_and_entries
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    path.write_text(to_csv(entries), encoding="utf-8", newline="")
+    assert ingest_csv(path, schema) == entries
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AdcEntry("Acme", 2024, math.inf, 6, 1.1, MARKET),
+    lambda: AdcEntry("Acme", 2024, math.nan, 6, 1.1, MARKET),
+    lambda: AdcEntry("Acme", 2024, 3e9, 6, math.nan, MARKET),
+    lambda: AdcEntry("Acme", 2024, 3e9, 6, math.inf, MARKET),
+    lambda: AdcEntry("Acme", 2024, 3e9, 6, 0.0, MARKET),
+    lambda: ChannelEnvironment("Lab", LOS, math.nan),
+    lambda: ChannelEnvironment("Lab", LOS, math.inf),
+    lambda: PulseGeneratorEntry(2006, "Kim", "CMOS", math.inf, None),
+    lambda: PulseGeneratorEntry(2006, "Kim", "CMOS", math.nan, None),
+    lambda: PulseGeneratorEntry(2006, "Kim", "CMOS", 1e-10, math.inf),
+    lambda: PulseGeneratorEntry(2006, "Kim", "CMOS", 1e-10, math.nan),
+    lambda: AntennaConfigEntry(UWB_60GHZ, 60, 60, math.inf),
+    lambda: AntennaConfigEntry(UWB_60GHZ, 60, 60, math.nan),
+])
+def test_entries_reject_non_finite_numbers(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_ingest_rejects_a_nan_power(tmp_path):
+    path = tmp_path / "adc.csv"
+    path.write_text(
+        "designer,year,sampling_frequency,bit_precision,dissipated_power_w,source,reference\n"
+        "Acme,2024,3 GSPS,6,nan,market,\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError, match="line 2: dissipated_power must be finite"):
+        ingest_csv(path, "adc")
+
+
+def test_to_csv_rejects_what_is_not_one_survey_table():
+    with pytest.raises(ValueError, match="not a survey entry"):
+        to_csv([1])
+    with pytest.raises(ValueError, match="same table"):
+        to_csv(load_builtin(CHANNELS) + load_builtin(ANTENNA_CONFIGS))
+
+
 def test_ingest_adc_row(tmp_path):
     path = tmp_path / "adc.csv"
     path.write_text(
@@ -160,6 +253,69 @@ def test_ingest_reports_every_malformed_row(tmp_path):
         ingest_csv(path, "channel")
     message = str(excinfo.value)
     assert "line 3" in message and "line 4" in message and "line 2" not in message
+
+
+_BAD_QUANTITY = "expected a number followed by a unit suffix, e.g. '17 ns' or '2.5GSPS'"
+
+# one file per schema: rows with a bad int, a blank or "-" required
+# quantity, a quantity of the wrong dimension, a bad float and bad watts,
+# plus a valid row with "-" in every optional cell (absent, so unreported)
+_MALFORMED = {
+    "adc": (
+        "designer,year,sampling_frequency,bit_precision,dissipated_power_w,source,reference\n"
+        "Acme,20x4,3 GSPS,6,1.1,market,\n"
+        "Acme,2024,,6,1.1,market,\n"
+        "Acme,2024,3 ns,6,1.1,market,\n"
+        "Acme,2024,3 GSPS,six,1.1,market,\n"
+        "Acme,-,3 GSPS,6,-,market,\n"
+        "Acme,2024,3 GSPS,6,5 ns,market,\n"
+        "Acme,2024,3 GSPS,6,lots,market,\n",
+        "line 2: invalid literal for int() with base 10: '20x4'; "
+        f"line 3: invalid quantity '': {_BAD_QUANTITY}; "
+        "line 4: '3 ns' is a time, expected a frequency; "
+        "line 5: invalid literal for int() with base 10: 'six'; "
+        "line 7: '5 ns' is a time, expected a power; "
+        f"line 8: invalid quantity 'lots': {_BAD_QUANTITY}",
+    ),
+    "channel": (
+        "name,sight,rms_delay_spread\n"
+        "Lab,LOS,\n"
+        "Lab,LOS,5 GHz\n"
+        "Lab,LOS,5\n",
+        f"line 2: invalid quantity '': {_BAD_QUANTITY}; "
+        "line 3: '5 GHz' is a frequency, expected a time; "
+        f"line 4: invalid quantity '5': {_BAD_QUANTITY}",
+    ),
+    "pulse_generator": (
+        "year,author,technology,min_pulse_duration,max_pulse_duration,reference\n"
+        "-,Kim,CMOS,380 ps,4 ns,\n"
+        "2006,Kim,CMOS,380 ps,-,\n"
+        "2006,Kim,CMOS,380 ps,4 GHz,\n"
+        "2006,Kim,CMOS,-,4 ns,\n",
+        "line 2: invalid literal for int() with base 10: '-'; "
+        "line 4: '4 GHz' is a frequency, expected a time; "
+        f"line 5: invalid quantity '-': {_BAD_QUANTITY}",
+    ),
+    "antenna": (
+        "band,tx_beamwidth_deg,rx_beamwidth_deg,rms_delay_spread\n"
+        "UWB_60GHz,wide,60,3 ns\n"
+        "UWB_60GHz,60,,3 ns\n"
+        "UWB_60GHz,60,60,-\n",
+        "line 2: could not convert string to float: 'wide'; "
+        "line 3: could not convert string to float: ''; "
+        f"line 4: invalid quantity '-': {_BAD_QUANTITY}",
+    ),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(_MALFORMED))
+def test_ingest_reports_each_malformed_cell_in_full(tmp_path, schema):
+    text, problems = _MALFORMED[schema]
+    path = tmp_path / f"{schema}.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as excinfo:
+        ingest_csv(path, schema)
+    assert str(excinfo.value) == f"{path}: {problems}"
 
 
 def test_ingest_rejects_wrong_header(tmp_path):

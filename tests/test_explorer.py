@@ -457,5 +457,14 @@ class TestColumnarEmission:
         ] * 2
         assert self.emitted(rows) == (stdlib_csv(rows), stdlib_json(rows))
 
+    def test_largest_floats_stay_finite_in_json(self):
+        # 10-digit rounding takes these past the largest float, to inf
+        big = [1.7976931348623157e308, -1.7976931346e308, 1.7976931344e308]
+        table = SweepTable({"frequency_hz": np.array(big)})
+        rows = [{"frequency_hz": value} for value in big]
+        for emitted in (self.emitted(table)[1], self.emitted(rows)[1]):
+            values = [row["frequency_hz"] for row in json.loads(emitted)]
+            assert values == [1.7976931348623157e308, -1.7976931346e308, 1.797693134e308]
+
     def test_empty_row_list(self):
         assert self.emitted([]) == ("", "[]\n")

@@ -151,6 +151,26 @@ def _example(freqs, spreads_s, factors, outputs):
 @_example([1e9, float("inf")], [1e-9], [4.0], ["derivative"])
 @_example([1e9], [1e-9], [4.0, float("nan")], ["derivative"])
 @_example([1e9], [1e-9], [float("inf")], ["derivative"])
+# so are an overhead n/F, a capacity and a derivative that overflow
+@_example([1e9, 1e-160], [1e-9], [4.0], ["derivative"])
+@_example([1e9, 1e-320], [1e-9], [4.0], ["percent_of_max"])
+@_example([1e9, 1e-320], [1e-9], [4.0], ["capacity", "derivative"])
+@example(
+    cap.MIXED, [1e9, 1e-160], [cap.DelaySpread(1e-9)], [1.0], cap.ModulationScheme(),
+    None, ["derivative"],
+)
+@example(
+    cap.MIXED, [1e9, 1e162], [cap.DelaySpread(0.0)], [1.0], cap.ModulationScheme(),
+    None, ["derivative"],
+)
+@example(
+    cap.MIXED, [1e9], [cap.DelaySpread(1e-9)], [1.0], cap.ModulationScheme(10**308),
+    None, ["capacity"],
+)
+@example(
+    cap.BINARY, [1e9, 1.7976931348623157e308], [cap.DelaySpread(0.0)], [1.0],
+    cap.ModulationScheme(), None, ["capacity"],
+)
 def test_grid_raises_what_the_scalar_path_raises(
     mode, freqs, delay_spreads, factors, modulation, snr, outputs
 ):

@@ -176,6 +176,21 @@ class TestSynthesizeChannel:
         with pytest.raises(DomainError, match="num_taps"):
             synthesize_channel(1e-9, 25e-12, 10**400)  # no float holds it
 
+    def test_oversized_tap_grid_is_rejected_before_it_is_built(self, monkeypatch):
+        def calibrate(*args):
+            raise AssertionError("the tap grid was built")
+
+        monkeypatch.setattr(isi, "_calibrated_profile", calibrate)
+        # 10**7 + 1 taps of 1 fs cover 10 ns and stay far from underflow
+        with pytest.raises(DomainError, match="num_taps = 10000001 exceeds"):
+            synthesize_channel(1e-9, 1e-15, 10**7 + 1)
+        with pytest.raises(DomainError, match="num_taps = 10000001 exceeds"):
+            validate_assumption(1e-9, 0.25e-9, tap_spacing=1e-15, num_taps=10**7 + 1)
+        # the default grid of 15 d_RMS / tap_spacing taps: 1.5e12, and inf
+        for spacing in (1e-20, 1e-320):
+            with pytest.raises(DomainError, match="tap_spacing .* too fine"):
+                validate_assumption(1e-9, 0.25e-9, tap_spacing=spacing, deterministic=True)
+
     def test_deterministic_mode_is_reproducible(self):
         a = synthesize_channel(9e-9, 0.5e-9, 400)
         b = synthesize_channel(9e-9, 0.5e-9, 400)
