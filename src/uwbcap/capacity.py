@@ -85,13 +85,13 @@ class PulseSpec:
     def from_duration(cls, duration: float) -> "PulseSpec":
         if not 0 < duration < math.inf:
             raise ValueError("pulse duration must be > 0 s")
-        return cls(duration, 1.0 / duration)
+        return cls(duration, _quotient(1.0, duration, "pulse duration", "s", "1 / T_p"))
 
     @classmethod
     def from_bandwidth(cls, bandwidth: float) -> "PulseSpec":
         if not 0 < bandwidth < math.inf:
             raise ValueError("bandwidth must be > 0 Hz")
-        return cls(1.0 / bandwidth, bandwidth)
+        return cls(_quotient(1.0, bandwidth, "bandwidth", "Hz", "1 / B"), bandwidth)
 
 
 @dataclass(frozen=True)
@@ -244,15 +244,18 @@ def _half_log_factor(snr: SnrValue) -> float:
     return 0.5 * math.log2(1.0 + snr.linear_ratio)
 
 
+def _quotient(numerator, value: float, name: str, unit: str, quotient: str) -> float:
+    """numerator / value for a positive input value, which overflows for a
+    tiny one; ``quotient`` spells the division in the error."""
+    result = numerator / value
+    if result == math.inf:
+        raise DomainError(f"{name} {value!r} {unit} is too small: {quotient} overflows a float")
+    return result
+
+
 def _overhead(n, frequency: float) -> float:
     """Per-symbol time overhead n / F, which overflows for a tiny F."""
-    overhead = n / frequency
-    if overhead == math.inf:
-        raise DomainError(
-            f"frequency {frequency!r} Hz is too small: the symbol overhead "
-            f"{n!r} / F overflows a float"
-        )
-    return overhead
+    return _quotient(n, frequency, "frequency", "Hz", f"the symbol overhead {n!r} / F")
 
 
 def _result(multiplier, overhead, d, echo, notes=()):
@@ -264,7 +267,7 @@ def _result(multiplier, overhead, d, echo, notes=()):
             + ("" if order is None else f" (modulation order {order})")
             + f" over a symbol period of {overhead + d.value!r} s"
         )
-    asymptote_ = math.inf if d.value == 0 else _symbol_rate(multiplier, 0.0, d.value)
+    asymptote_ = math.inf if d.value == 0 else _asymptote(multiplier, d.value)
     return CapacityResult(
         rate=rate,
         limiting_asymptote=asymptote_,
@@ -385,12 +388,23 @@ def asymptote(d: DelaySpread, m: ModulationScheme | None = None) -> float:
     """Hard upper bound multiplier(M) / d_RMS on the capacity (default M = 2).
 
     Raises:
-        DomainError: the bound is unbounded when the delay spread is zero.
+        DomainError: the bound is unbounded when the delay spread is zero,
+            or overflows a float when it is subnormal.
     """
     if d.value == 0:
         raise DomainError("asymptote is unbounded when the delay spread is zero")
-    multiplier = 1.0 if m is None else m.multiplier
-    return _symbol_rate(multiplier, 0.0, d.value)
+    return _asymptote(1.0 if m is None else m.multiplier, d.value)
+
+
+def _asymptote(multiplier, d):
+    """multiplier / d for d > 0, which overflows for a subnormal d."""
+    bound = _symbol_rate(multiplier, 0.0, d)
+    if bound == math.inf:
+        raise DomainError(
+            f"delay spread {d!r} s is too small: the asymptote multiplier / d "
+            f"= {multiplier!r} / {d!r} overflows a float"
+        )
+    return bound
 
 
 def _overhead_factor(mode: str, sampling_factor) -> float:

@@ -10,18 +10,20 @@ Subcommands:
 Quantity flags require a unit suffix (17ns, 2GSPS, 5 GHz); bare numbers are
 rejected because the surveyed sources mix ps/ns and MSPS/GSPS freely.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 domain error.
+Exit codes: 0 success, 1 check failure, 2 usage error (bad arguments, or an
+output that cannot be written: an unwritable --output path or a closed
+stdout pipe), 3 domain error.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 from . import capacity as cap
 from . import datasets, explorer
-from .errors import DomainError, QuantityError, SchemaError
+from .errors import DomainError, QuantityError
 from .units import FREQUENCY, TIME, parse_quantity
 
 EXIT_OK = 0
@@ -248,25 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 # Emission helpers
 # ---------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _out_stream(args):
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            yield handle
-    else:
-        yield sys.stdout
-
-
-def _print_rows(rows, args, human) -> None:
-    with _out_stream(args) as stream:
-        if args.format == "csv":
-            explorer.emit_csv(rows, stream)
-        elif args.format == "json":
-            explorer.emit_json(rows, stream)
-        else:
-            human(rows, stream)
-
-
 def _human_cell(value) -> str:
     if value is None:
         return ""
@@ -275,7 +258,8 @@ def _human_cell(value) -> str:
     return str(value)
 
 
-def _human_table(dicts, stream) -> None:
+def _human_table(rows, stream) -> None:
+    dicts = explorer.rows_to_dicts(rows)
     if not dicts:
         return
     headers = list(dicts[0])
@@ -288,29 +272,47 @@ def _human_table(dicts, stream) -> None:
         stream.write("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n")
 
 
-def _emit_result(result: cap.CapacityResult, args) -> int:
-    payload = result.to_dict()
-    with _out_stream(args) as stream:
-        if args.format == "json":
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-        elif args.format == "csv":
-            flat = dict(payload)
-            flat["notes"] = "; ".join(flat["notes"])
-            explorer.emit_csv([flat], stream)
-        else:
-            asym = payload["limiting_asymptote_bit_s"]
-            asym_text = (
-                "unbounded" if asym == "unbounded" else f"{asym / 1e6:.10g} Mbit/s"
-            )
-            stream.write(f"channel capacity : {result.rate_mbit_s:.10g} Mbit/s\n")
-            stream.write(f"asymptote        : {asym_text}\n")
-            for key, value in result.inputs_echo.items():
-                stream.write(f"  {key} = {value:.10g}\n" if isinstance(value, float)
-                             else f"  {key} = {value}\n")
-            for note in result.notes:
-                stream.write(f"note: {note}\n")
+def _full_precision_json(rows, stream) -> None:
+    json.dump(rows, stream, indent=2)
+    stream.write("\n")
+
+
+def _emit(args, rows, *, write_csv=explorer.emit_csv, write_json=_full_precision_json,
+          write_human=_human_table) -> int:
+    """Write ``rows`` in ``--format`` to ``--output``, or to stdout.
+
+    JSON keeps every float at full precision unless the caller passes
+    ``explorer.emit_json``, which rounds to 10 significant digits.
+    """
+    write = {"csv": write_csv, "json": write_json, "human": write_human}[args.format]
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as stream:
+            write(rows, stream)
+    else:
+        write(rows, sys.stdout)
+        sys.stdout.flush()  # a closed pipe fails here, inside main's handlers
     return EXIT_OK
+
+
+def _capacity_csv(payload, stream) -> None:
+    explorer.emit_csv([{**payload, "notes": "; ".join(payload["notes"])}], stream)
+
+
+def _capacity_human(payload, stream) -> None:
+    echo = dict(payload)  # what is left after the pops: the inputs echo
+    del echo["rate_bit_s"]
+    rate, asym, notes = (echo.pop(k) for k in ("rate_mbit_s", "limiting_asymptote_bit_s", "notes"))
+    asym_text = "unbounded" if asym == "unbounded" else f"{asym / 1e6:.10g} Mbit/s"
+    stream.write(f"channel capacity : {rate:.10g} Mbit/s\n")
+    stream.write(f"asymptote        : {asym_text}\n")
+    for key, value in echo.items():
+        stream.write(f"  {key} = {_human_cell(value)}\n")
+    for note in notes:
+        stream.write(f"note: {note}\n")
+
+
+def _emit_result(result: cap.CapacityResult, args) -> int:
+    return _emit(args, result.to_dict(), write_csv=_capacity_csv, write_human=_capacity_human)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +377,12 @@ def cmd_sweep(args) -> int:
         snr=cap.SnrValue.from_db(args.snr_db) if args.snr_db is not None else None,
         outputs=args.outputs,
     )
-    rows = explorer.run_sweep(spec)
-    _print_rows(rows, args, lambda r, s: _human_table(explorer.rows_to_dicts(r), s))
-    return EXIT_OK
+    return _emit(args, explorer.run_sweep(spec), write_json=explorer.emit_json)
 
 
 def cmd_table(args) -> int:
     rows = explorer.reproduce_table_iv() if args.which == "iv" else explorer.reproduce_table_vii()
-    _print_rows(rows, args, lambda r, s: _human_table(explorer.rows_to_dicts(r), s))
+    _emit(args, rows, write_json=explorer.emit_json)
     if not args.check:
         return EXIT_OK
     problems = explorer.check_table_iv() if args.which == "iv" else explorer.check_table_vii()
@@ -394,24 +394,15 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _entry_dicts(entries) -> list:
-    return [dataclasses.asdict(entry) for entry in entries]
-
-
 def cmd_datasets_list(args) -> int:
     entries = datasets.load_builtin(_CLI_TABLES[args.table])
     entries = datasets.query(entries, where=args.where, min_by=args.min_by, max_by=args.max_by)
-    with _out_stream(args) as stream:
-        if args.format == "csv":
-            # exact schema serialization, so the output re-ingests losslessly
-            if entries:
-                stream.write(datasets.to_csv(entries))
-        elif args.format == "json":
-            json.dump(_entry_dicts(entries), stream, indent=2)
-            stream.write("\n")
-        else:
-            _human_table(_entry_dicts(entries), stream)
-    return EXIT_OK
+
+    def write_csv(_, stream):
+        # exact schema serialization, so the output re-ingests losslessly
+        stream.write(datasets.to_csv(entries) if entries else "")
+
+    return _emit(args, [dataclasses.asdict(entry) for entry in entries], write_csv=write_csv)
 
 
 def cmd_validate_isi(args) -> int:
@@ -427,15 +418,7 @@ def cmd_validate_isi(args) -> int:
         num_taps=args.num_taps,
         deterministic=args.deterministic,
     )
-    with _out_stream(args) as stream:
-        if args.format == "json":
-            json.dump([r.to_dict() for r in reports], stream, indent=2)
-            stream.write("\n")
-        elif args.format == "csv":
-            explorer.emit_csv([r.to_dict() for r in reports], stream)
-        else:
-            _human_table([r.to_dict() for r in reports], stream)
-    return EXIT_OK
+    return _emit(args, [report.to_dict() for report in reports])
 
 
 def main(argv=None) -> int:
@@ -446,10 +429,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (QuantityError, SchemaError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader of stdout is gone: send the exit-time flush nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -407,7 +407,10 @@ def _parse_predicate(where: str):
     for op, compare in _COMPARATORS.items():
         if op in where:
             name, _, literal = where.partition(op)
-            return name.strip(), compare, _literal(literal.strip())
+            value = _literal(literal.strip())
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"predicate {where!r} compares with a non-finite number")
+            return name.strip(), compare, value
     raise ValueError(
         f"cannot parse predicate {where!r}; expected FIELD OP VALUE with "
         "OP one of " + ", ".join(_COMPARATORS)

@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
+from .explorer import emit_csv_string
 from .units import TIME, format_quantity
 
 _POWER_SUM_TOL = 1e-12
@@ -80,10 +81,10 @@ class TappedDelayLine:
 
     def to_csv(self) -> str:
         """Tap line as CSV, delays in the unit-suffix quantity grammar."""
-        lines = ["delay,power"]
-        for delay, power in zip(self.delays, self.powers):
-            lines.append(f"{format_quantity(float(delay), TIME)},{float(power)!r}")
-        return "\n".join(lines) + "\n"
+        return emit_csv_string([
+            {"delay": format_quantity(delay, TIME), "power": repr(power)}
+            for delay, power in zip(self.delays.tolist(), self.powers.tolist())
+        ])
 
 
 def _rms(powers: np.ndarray, delays: np.ndarray) -> float:

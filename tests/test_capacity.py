@@ -48,6 +48,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             DelaySpread(float("nan"))
 
+    def test_subnormal_pulse_input_names_itself(self):
+        with pytest.raises(DomainError, match="bandwidth 1e-320 Hz.*overflows"):
+            PulseSpec.from_bandwidth(1e-320)
+        with pytest.raises(DomainError, match="pulse duration 1e-320 s.*overflows"):
+            PulseSpec.from_duration(1e-320)
+
     def test_pulse_spec_locks_duration_bandwidth_product(self):
         pulse = PulseSpec.from_duration(380e-12)
         assert rel(pulse.bandwidth, 1.0 / 380e-12) < 1e-15
@@ -318,6 +324,13 @@ class TestAsymptote:
     def test_zero_spread_is_a_domain_error(self):
         with pytest.raises(DomainError):
             asymptote(DelaySpread(0.0))
+
+    def test_subnormal_spread_is_a_domain_error_not_unbounded(self):
+        d = DelaySpread(1e-320)
+        with pytest.raises(DomainError, match="delay spread 1e-320 s.*overflows"):
+            asymptote(d)
+        with pytest.raises(DomainError, match="delay spread 1e-320 s.*overflows"):
+            mostly_digital_capacity(SamplingConfig(2e9, 4.0), d)
 
     def test_bounds_every_capacity(self):
         rng = np.random.default_rng(3)

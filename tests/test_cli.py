@@ -3,12 +3,17 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uwbcap
 from uwbcap.cli import main
 from uwbcap.datasets import CHANNELS, ingest_csv, load_builtin
 
@@ -156,6 +161,21 @@ class TestCapacityCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("digital", "--fs", "2GSPS", "--delay-spread", "1e-320s"), "delay spread"),
+            (("binary", "--bandwidth", "1e-320Hz", "--delay-spread", "1ns"), "bandwidth"),
+            (("binary", "--pulse-duration", "1e-320s", "--delay-spread", "1ns"),
+             "pulse duration"),
+        ],
+    )
+    def test_subnormal_inputs_are_domain_errors(self, capsys, argv, field):
+        code, out, err = run(capsys, "capacity", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"domain error: {field} 1e-320") and "overflows" in err
 
 
 @pytest.mark.parametrize(
@@ -341,6 +361,14 @@ class TestDatasetsCommand:
         assert code == 2
         assert "unknown field" in err
 
+    def test_non_finite_literal_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "datasets", "list", "channels", "--where", "rms_delay_spread>=nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert "rms_delay_spread>=nan" in err
+
     def test_unknown_table_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["datasets", "list", "adcs"])
@@ -522,3 +550,41 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert out == ""
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert math.isclose(payload["rate_mbit_s"], 55.55555556, rel_tol=1e-6)
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "table", "iv", "--check", "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(tmp_path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # far more output than a pipe buffers: a write meets the closed pipe
+        (["sweep", "--mode", "digital", "--param", "fs", "--from", "1GSPS", "--to", "2GSPS",
+          "--points", "20000", "--delay-spreads", "17ns", "--nsampling", "4",
+          "--format", "csv"], 1),
+        # output that fits a buffer: the flush meets the closed pipe, and a
+        # check that never ran is not reported as passed
+        (["table", "iv", "--check"], 0),
+    ],
+)
+def test_closed_stdout_exits_two_without_a_traceback(argv, lines_read):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # buffered stdout, as in a default shell
+    src = str(Path(uwbcap.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    with subprocess.Popen(
+        [sys.executable, "-m", "uwbcap.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert "all values match" not in err

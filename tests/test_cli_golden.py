@@ -80,16 +80,23 @@ def _argv_set() -> list:
         for fmt in ("human", "csv", "json"):
             cases.append(f"datasets list {table} --format {fmt}")
         cases.append(f"datasets list {table} {query} --format csv")
-    cases += [
-        "capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --format csv",
-        "capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --mary 5 --format csv",
-        "capacity mixed --fcircuit 10.87GHz --delay-spread 0.87ns --format csv",
-        "capacity mixed --fcircuit 10.87GHz --delay-spread 0.87ns --mary 4 --mary-convention log2 --format csv",
-        "capacity binary --bandwidth 1GHz --delay-spread 0s --format csv",
-        "capacity ideal --bandwidth 1GHz --delay-spread 17ns --snr-db 1 --format csv",
-        "validate-isi --delay-spread 9ns --pulse-duration 0.25ns --deterministic --format csv",
-        "validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic --format csv",
-    ]
+    # an empty selection: "[]" as JSON, nothing as CSV or human
+    for fmt in ("human", "csv", "json"):
+        cases.append(f"datasets list channels --where rms_delay_spread>1s --format {fmt}")
+    for base in (
+        "capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns",
+        "capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --mary 5",
+        "capacity mixed --fcircuit 10.87GHz --delay-spread 0.87ns",
+        "capacity mixed --fcircuit 10.87GHz --delay-spread 0.87ns --mary 4 --mary-convention log2",
+        # zero spread: an "unbounded" asymptote
+        "capacity binary --bandwidth 1GHz --delay-spread 0s",
+        # low SNR: a note
+        "capacity ideal --bandwidth 1GHz --delay-spread 17ns --snr-db 1",
+        "validate-isi --delay-spread 9ns --pulse-duration 0.25ns --deterministic",
+        "validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic",
+    ):
+        for fmt in ("human", "csv", "json"):
+            cases.append(f"{base} --format {fmt}")
     return cases
 
 
@@ -208,14 +215,40 @@ GOLDEN = {
     # calibration began to hit its target d_RMS to the last bits
     'validate-isi --delay-spread 9ns --pulse-duration 0.25ns --deterministic --format csv': (0, '359e5e96cf837a258f1f65b9e612316d699ccd28b1eb69f2bdd8d3cc3eee2008'),
     'validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic --format csv': (0, '361a333f0fc13f2f92ca7cb8de430f1250c343738f2e474ce149108c95564699'),
+    # capacity and validate-isi as human and JSON, and an empty datasets
+    # selection, recorded before the CLI's output dispatch was merged
+    'datasets list channels --where rms_delay_spread>1s --format human': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'datasets list channels --where rms_delay_spread>1s --format csv': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'datasets list channels --where rms_delay_spread>1s --format json': (0, '37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570'),
+    'capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --format human': (0, '774bb45dae8a6c0160d70fd72944d894317ba78ab3e613d8078762d2a5b2e500'),
+    'capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --format json': (0, '97c6ae36790bf024d6afa716909108099c3f7402b5b149b1d33d4baabfab7c80'),
+    'capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --mary 5 --format human': (0, 'db008bc392584e82847bf2effee30c8069ed8d2d7c2888cb8761dc2f92e49bb0'),
+    'capacity digital --fs 2GSPS --nsampling 4 --delay-spread 17ns --mary 5 --format json': (0, 'fde5c9b03f91b4ddeec0491bbadab623a3f166cc24a5f30e656ce4172f12179c'),
+    'capacity mixed --fcircuit 10.87GHz --delay-spread 0.87ns --format human': (0, 'd49f74535031c2d7084c50bc4b1a9e1c4f865fa91c4309b79ddd38393cb4f8b8'),
+    'capacity mixed --fcircuit 10.87GHz --delay-spread 0.87ns --format json': (0, '750672d078156a74bd70df6eec2ee5386dced6501857e07ffd99abd26fe94431'),
+    'capacity mixed --fcircuit 10.87GHz --delay-spread 0.87ns --mary 4 --mary-convention log2 --format human': (0, 'ca96c8426e6050ce1e71bc3248506e66e2c62460cd34a422b72f2d5e5abb1667'),
+    'capacity mixed --fcircuit 10.87GHz --delay-spread 0.87ns --mary 4 --mary-convention log2 --format json': (0, '3e7cb638a6260b32cd83531413737aa7130cf69dc612fa470d8fa64582480874'),
+    'capacity binary --bandwidth 1GHz --delay-spread 0s --format human': (0, '154f367acc1feaa8cf6f370205e196ecb52422a9a1bf5d334a77a6820b2037fa'),
+    'capacity binary --bandwidth 1GHz --delay-spread 0s --format json': (0, 'd84978ee6e43a82af7ad092c11d7e47abc7fc216da714510bea1bb1ba947f005'),
+    'capacity ideal --bandwidth 1GHz --delay-spread 17ns --snr-db 1 --format human': (0, 'c74ffce427190bd81ed575177e56cabdccd05b9e88f3370a188786dac6eba292'),
+    'capacity ideal --bandwidth 1GHz --delay-spread 17ns --snr-db 1 --format json': (0, '3871b07dce50dd023fb76cf2c3296b7d4fae30456f75bc464449c556c6a824f4'),
+    'validate-isi --delay-spread 9ns --pulse-duration 0.25ns --deterministic --format human': (0, '07d78f5df44b35c52c4ccf7a2959a4484aac57bd8eef6b8d5aa6bdf97e584eeb'),
+    'validate-isi --delay-spread 9ns --pulse-duration 0.25ns --deterministic --format json': (0, '87468e98e27f724a9c9824cab7ebc86e9c895d5a8b944c10b55744cbc246c6b3'),
+    'validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic --format human': (0, '02c8c61c74a29e3f3df5efd31ef98d5d30b033cf15e138551ec2552cbc1489fb'),
+    'validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic --format json': (0, 'a44ac16884fc7bf6684f6b78a356e6d9540348e781317fc7cb4f12afe2230b44'),
 }
 
 
-def _run(argv: str) -> tuple:
+def _stdout(argv: list) -> tuple:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv.split())
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _run(argv: str) -> tuple:
+    code, text = _stdout(argv.split())
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_golden_set_is_complete():
@@ -225,6 +258,24 @@ def test_golden_set_is_complete():
 @pytest.mark.parametrize("argv", CASES)
 def test_stdout_bytes_match_golden(argv):
     assert _run(argv) == GOLDEN[argv]
+
+
+_ONE_PER_COMMAND = (
+    "capacity ideal --bandwidth 1GHz --delay-spread 17ns --snr-db 1",
+    _BINARY,
+    "table iv",
+    "datasets list channels --where sight=NLOS",
+    "validate-isi --delay-spread 9ns --pulse-duration 0.25ns --deterministic",
+)
+
+
+@pytest.mark.parametrize("fmt", ("human", "csv", "json"))
+@pytest.mark.parametrize("base", _ONE_PER_COMMAND, ids=lambda base: base.split()[0])
+def test_output_file_gets_the_stdout_bytes(base, fmt, tmp_path):
+    argv = f"{base} --format {fmt}".split()
+    path = tmp_path / "out"
+    assert _stdout([*argv, "--output", str(path)]) == (0, "")
+    assert _stdout(argv) == (0, path.read_bytes().decode("utf-8"))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -400,3 +401,10 @@ def test_query_unknown_field_and_bad_predicate():
         query(channels, where="sight NLOS")
     with pytest.raises(ValueError, match="cannot compare"):
         query(channels, where="name>=17ns")
+
+
+@pytest.mark.parametrize("literal", ("nan", "inf", "-Infinity", "1e999"))
+def test_query_rejects_a_non_finite_number(literal):
+    where = f"rms_delay_spread>={literal}"
+    with pytest.raises(ValueError, match=re.escape(repr(where))):
+        query(load_builtin(CHANNELS), where=where)
