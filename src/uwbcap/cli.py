@@ -250,35 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
 # Emission helpers
 # ---------------------------------------------------------------------------
 
-def _human_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
-
-
-def _human_table(rows, stream) -> None:
-    dicts = explorer.rows_to_dicts(rows)
-    if not dicts:
-        return
-    headers = list(dicts[0])
-    cells = [[_human_cell(v) for v in row.values()] for row in dicts]
-    widths = [
-        max(len(h), *(len(line[i]) for line in cells)) for i, h in enumerate(headers)
-    ]
-    stream.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
-    for line in cells:
-        stream.write("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n")
-
-
 def _full_precision_json(rows, stream) -> None:
     json.dump(rows, stream, indent=2)
     stream.write("\n")
 
 
 def _emit(args, rows, *, write_csv=explorer.emit_csv, write_json=_full_precision_json,
-          write_human=_human_table) -> int:
+          write_human=explorer.emit_human) -> int:
     """Write ``rows`` in ``--format`` to ``--output``, or to stdout.
 
     JSON keeps every float at full precision unless the caller passes
@@ -306,7 +284,7 @@ def _capacity_human(payload, stream) -> None:
     stream.write(f"channel capacity : {rate:.10g} Mbit/s\n")
     stream.write(f"asymptote        : {asym_text}\n")
     for key, value in echo.items():
-        stream.write(f"  {key} = {_human_cell(value)}\n")
+        stream.write(f"  {key} = {explorer.human_cell(value)}\n")
     for note in notes:
         stream.write(f"note: {note}\n")
 

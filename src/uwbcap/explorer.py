@@ -11,7 +11,7 @@ Every capacity emitted here is a direct call into :mod:`uwbcap.capacity`
 columnar ``SweepTable``); this module adds grids and bookkeeping, never
 arithmetic.  Machine output is serialized at 10 significant digits, the
 precision the reference tables are printed at, by one column formatter
-shared by CSV and JSON.
+shared by CSV, JSON and the human-readable table.
 """
 
 import dataclasses
@@ -101,9 +101,13 @@ class SweepSpec:
         """The swept frequencies, a 1-D float array."""
         import numpy as np
 
-        if self.spacing == LINEAR:
-            return np.linspace(self.start_hz, self.stop_hz, self.points)
-        return np.geomspace(self.start_hz, self.stop_hz, self.points)
+        # near the float range numpy's intermediate powers overflow; geomspace
+        # then sets its endpoints exactly, and the capacity models reject any
+        # inner point left at inf
+        with np.errstate(over="ignore"):
+            if self.spacing == LINEAR:
+                return np.linspace(self.start_hz, self.stop_hz, self.points)
+            return np.geomspace(self.start_hz, self.stop_hz, self.points)
 
 
 @dataclass(frozen=True)
@@ -502,17 +506,23 @@ def _columns(rows) -> dict:
 _TEN_DIGITS = "{:.10g}".format
 
 
-def _csv_cell(value) -> str:
+def human_cell(value) -> str:
+    """One value as table text: floats at 10 significant digits, None
+    blank, anything else ``str``."""
     if isinstance(value, float):
         return _TEN_DIGITS(value)
-    text = "" if value is None else str(value)
+    return "" if value is None else str(value)
+
+
+def _human_floats(values) -> list:
+    return list(map(_TEN_DIGITS, values.tolist()))
+
+
+def _csv_cell(value) -> str:
+    text = human_cell(value)
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _csv_floats(values) -> list:
-    return list(map(_TEN_DIGITS, values.tolist()))
 
 
 def _json_cell(value) -> str:
@@ -547,15 +557,14 @@ def _cells(values, cell, floats) -> list:
     return text[index.ravel()].tolist()
 
 
-def _write_rows(columns, stream, cell, floats, template, separator) -> None:
-    """Write ``template % row`` per row, ``separator`` between rows, in
-    chunks of ``_CHUNK_ROWS`` rows."""
-    cells = [_cells(values, cell, floats) for values in columns.values()]
+def _write_rows(cells, stream, format_row, separator) -> None:
+    """Write ``format_row(row)`` per row of the column ``cells``,
+    ``separator`` between rows, in chunks of ``_CHUNK_ROWS`` rows."""
     for start in range(0, len(cells[0]), _CHUNK_ROWS):
         if start:
             stream.write(separator)
         chunk = zip(*(column[start : start + _CHUNK_ROWS] for column in cells))
-        stream.write(separator.join(map(template.__mod__, chunk)))
+        stream.write(separator.join(map(format_row, chunk)))
 
 
 def emit_csv(rows, stream) -> None:
@@ -567,7 +576,8 @@ def emit_csv(rows, stream) -> None:
         return
     stream.write(",".join(_csv_cell(name) for name in columns) + "\n")
     template = ",".join(["%s"] * len(columns)) + "\n"
-    _write_rows(columns, stream, _csv_cell, _csv_floats, template, "")
+    cells = [_cells(values, _csv_cell, _human_floats) for values in columns.values()]
+    _write_rows(cells, stream, template.__mod__, "")
 
 
 def emit_json(rows, stream) -> None:
@@ -584,8 +594,29 @@ def emit_json(rows, stream) -> None:
     )
     stream.write("[\n")
     template = "  {\n" + fields + "\n  }"
-    _write_rows(columns, stream, _json_cell, _json_floats, template, ",\n")
+    cells = [_cells(values, _json_cell, _json_floats) for values in columns.values()]
+    _write_rows(cells, stream, template.__mod__, ",\n")
     stream.write("\n]\n")
+
+
+def emit_human(rows, stream) -> None:
+    """Write a ``SweepTable`` or a list of rows as an aligned text table:
+    ``human_cell`` text, each column padded to its widest cell (header
+    included), two spaces between columns, trailing blanks stripped.  An
+    empty row list writes nothing."""
+    columns = _columns(rows)
+    if not columns:
+        return
+    cells = [_cells(values, human_cell, _human_floats) for values in columns.values()]
+    template = "  ".join(
+        f"%-{max(len(name), *map(len, column))}s" for name, column in zip(columns, cells)
+    )
+
+    def line(row) -> str:
+        return (template % row).rstrip() + "\n"
+
+    stream.write(line(tuple(columns)))
+    _write_rows(cells, stream, line, "")
 
 
 def emit_csv_string(rows) -> str:

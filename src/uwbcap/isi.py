@@ -227,14 +227,23 @@ def synthesize_channel(
     delays, powers = _calibrated_profile(float(target_d_rms), float(tap_spacing), int(num_taps))
     if rng_seed is None:
         return TappedDelayLine(delays, powers)
-    rng = np.random.default_rng(rng_seed)
-    faded = powers * rng.exponential(1.0, powers.size)
-    return TappedDelayLine.normalized(delays, faded)
+    return TappedDelayLine(delays, _faded(powers, rng_seed))
+
+
+def _faded(powers: np.ndarray, seed) -> np.ndarray:
+    """``powers`` times one exponential (Rayleigh-fading) draw per tap from
+    ``default_rng(seed)``, rescaled to total 1."""
+    faded = powers * np.random.default_rng(seed).exponential(1.0, powers.size)
+    faded /= faded.sum()
+    return faded
 
 
 def _tail(delays: np.ndarray, pulse_duration: float, symbol_period: float) -> np.ndarray:
     """Share of each tap's pulse energy that lands at or after the symbol period."""
-    return np.clip((delays + pulse_duration - symbol_period) / pulse_duration, 0.0, 1.0)
+    # a symbol period near the float range overflows the quotient to -inf,
+    # which clips to the right share, 0
+    with np.errstate(over="ignore"):
+        return np.clip((delays + pulse_duration - symbol_period) / pulse_duration, 0.0, 1.0)
 
 
 def isi_spill(
@@ -334,6 +343,8 @@ def validate_assumption(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if rng_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {rng_seed}")
     if not guard_multiples:
         raise ValueError("at least one guard multiple is required")
     _require_finite_positive("delay spread", target_d_rms)
@@ -360,12 +371,7 @@ def validate_assumption(
     realized = np.empty(count)
     spills = np.empty((len(tails), count))
     for t in range(count):
-        if deterministic:
-            row = powers
-        else:
-            # synthesize_channel's fading draw and normalization
-            row = powers * np.random.default_rng((rng_seed, t)).exponential(1.0, powers.size)
-            row /= row.sum()
+        row = powers if deterministic else _faded(powers, (rng_seed, t))
         realized[t] = _rms(row, delays)
         for k, tail in enumerate(tails):
             spills[k, t] = np.dot(row, tail)

@@ -454,6 +454,48 @@ class TestValidateIsiCommand:
         assert len(rows) == 2
         assert rows[0]["guard_multiple"] == "1"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--trials", "0"), "trials must be >= 1"),
+            (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
+            (("--seed", "-1", "--deterministic"), "seed must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_bad_counts_exit_two_naming_the_input(self, capsys, argv, message):
+        code, out, err = run(
+            capsys, "validate-isi", "--delay-spread", "9ns", "--pulse-duration", "0.25ns", *argv
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# numpy overflows inside these runs, but their output is right
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("sweep", "--mode", "mixed", "--param", "fcircuit", "--from", "1e300Hz",
+             "--to", "1.7976931348623157e308Hz", "--points", "3", "--delay-spreads", "1ns",
+             "--format", "csv"),
+            "frequency_hz,rms_delay_spread_s,capacity_bit_s\n"
+            "1e+300,1e-09,1000000000\n"
+            "1.340780793e+304,1e-09,1000000000\n"
+            "1.797693135e+308,1e-09,1000000000\n",
+        ),
+        (
+            ("validate-isi", "--delay-spread", "9ns", "--pulse-duration", "0.25ns",
+             "--guard-multiples", "1e308", "--deterministic", "--format", "csv"),
+            "target_d_rms_s,realized_d_rms_s,symbol_period_s,guard_multiple,spill_fraction,"
+            "spill_min,spill_max,trials\n"
+            "9e-09,9e-09,9e+299,1e+308,0,0,0,1\n",
+        ),
+    ],
+    ids=["sweep-geomspace", "validate-isi-tail"],
+)
+def test_near_float_range_runs_warn_nothing(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+
 
 # ---------------------------------------------------------------------------
 # generated capacity and sweep arguments

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import uwbcap.capacity as cap
+from uwbcap import explorer
 from uwbcap.errors import DomainError
 from uwbcap.explorer import (
     TABLE_IV_GOLDEN,
@@ -21,6 +22,7 @@ from uwbcap.explorer import (
     default_sampling_sweep,
     emit_csv,
     emit_csv_string,
+    emit_human,
     emit_json,
     market_capacity_points,
     reproduce_table_iv,
@@ -424,6 +426,36 @@ def stdlib_json(dicts) -> str:
     return json.dumps(rounded, indent=2) + "\n"
 
 
+# The CLI's dict-per-row table writer before emit_human, kept as the
+# reference for the human format's bytes.
+def _human_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
+
+
+def _human_table(rows, stream) -> None:
+    dicts = explorer.rows_to_dicts(rows)
+    if not dicts:
+        return
+    headers = list(dicts[0])
+    cells = [[_human_cell(v) for v in row.values()] for row in dicts]
+    widths = [
+        max(len(h), *(len(line[i]) for line in cells)) for i, h in enumerate(headers)
+    ]
+    stream.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
+    for line in cells:
+        stream.write("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n")
+
+
+def stdlib_human(rows) -> str:
+    buffer = io.StringIO()
+    _human_table(rows, buffer)
+    return buffer.getvalue()
+
+
 class TestColumnarEmission:
     """The chunked column formatter writes what csv.DictWriter and
     json.dump(indent=2) write for the same rows."""
@@ -468,3 +500,31 @@ class TestColumnarEmission:
 
     def test_empty_row_list(self):
         assert self.emitted([]) == ("", "[]\n")
+
+    def human(self, rows) -> str:
+        out = io.StringIO()
+        emit_human(rows, out)
+        return out.getvalue()
+
+    def test_human_rows_match_the_dict_table_writer(self):
+        rows = [
+            {"name": "with spaces, and commas", "value": 1 / 3, "count": 2,
+             "missing": None, "blank": ""},
+            {"name": "x", "value": -0.0, "count": -17, "missing": math.inf, "blank": ""},
+            {"name": "", "value": math.nan, "count": 10**20, "missing": None, "blank": ""},
+            {"name": "subnormal", "value": 5e-324, "count": 0, "missing": -math.inf,
+             "blank": ""},
+        ] * 2
+        assert self.human(rows) == stdlib_human(rows)
+        assert self.human(reproduce_table_vii()) == stdlib_human(reproduce_table_vii())
+        assert self.human([]) == stdlib_human([]) == ""
+
+    def test_human_table_matches_the_dict_table_writer(self):
+        table = SweepTable({
+            "frequency_hz": np.array([1e9, 2.5e9, 1e9, 2.5e9, 1e9, 2.5e9, 1e9]),
+            "rms_delay_spread_s": np.array([0.0, 0.0, -0.0, -0.0, 17e-9, 17e-9, 17e-9]),
+            "capacity_bit_s": np.array(
+                [1 / 3, 2 / 3, math.inf, -math.inf, math.nan, 1e-320, 123456789012.0]
+            ),
+        })
+        assert self.human(table) == stdlib_human(table)

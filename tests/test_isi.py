@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -330,6 +331,16 @@ class TestValidateAssumption:
         with pytest.raises(DomainError):
             validate_assumption(9e-9, 0.25e-9, tap_spacing=5e-9)
 
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_negative_seed_is_named_before_any_draw(self, monkeypatch, deterministic):
+        def no_draw(seed):
+            raise AssertionError(f"drew from seed {seed!r}")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+            validate_assumption(9e-9, 0.25e-9, trials=3, rng_seed=-1,
+                                deterministic=deterministic)
+
     @pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -0.1e-9])
     def test_bad_tap_spacing_raises_domain_error(self, spacing):
         # checked before the default num_taps is derived from it
@@ -506,3 +517,70 @@ print([name for name in uwbcap.__all__ if name not in namespace],
       uwbcap.validate_assumption is uwbcap.isi.validate_assumption)
 """
     assert _fresh_python(script) == "[] True"
+
+
+#: The public names of ``uwbcap``, by the submodule that defines them.
+_PUBLIC_NAMES = {
+    "capacity": (
+        "BINARY_SNR_LINEAR", "MARY_LOG2", "MARY_PAPER", "MIXED", "MOSTLY_DIGITAL",
+        "CapacityResult", "CircuitFrequency", "DelaySpread", "ModulationScheme",
+        "PulseSpec", "SamplingConfig", "SnrValue", "asymptote", "binary_capacity",
+        "capacity_derivative", "ideal_capacity", "mixed_capacity",
+        "mostly_digital_capacity", "percent_of_max", "required_frequency",
+    ),
+    "datasets": (
+        "ADC_MARKET", "ADC_STATE_OF_ART", "ANTENNA_CONFIGS", "CHANNELS",
+        "PULSE_GENERATORS", "TABLE_IDS", "AdcEntry", "AntennaConfigEntry",
+        "ChannelEnvironment", "PulseGeneratorEntry", "ingest_csv", "load_builtin", "query",
+    ),
+    "errors": ("DomainError", "QuantityError", "SchemaError"),
+    "explorer": (
+        "MarketPoint", "ScenarioRow", "SweepPoint", "SweepSpec", "check_table_iv",
+        "check_table_vii", "market_capacity_points", "reproduce_table_iv",
+        "reproduce_table_vii", "run_sweep",
+    ),
+    "isi": (
+        "IsiReport", "TappedDelayLine", "in_symbol_fraction", "isi_spill",
+        "rms_delay_spread", "synthesize_channel", "validate_assumption",
+    ),
+    "units": ("format_quantity", "parse_quantity"),
+}
+
+
+def test_package_names_load_their_module_on_first_use():
+    script = """
+import importlib, json, sys
+import uwbcap
+loaded = sorted(m for m in sys.modules if m.startswith("uwbcap."))
+capacity = uwbcap.capacity.__name__  # before any other name loads the module
+public = json.loads(sys.argv[1])
+try:
+    uwbcap.nope
+    nope = "resolved"
+except AttributeError as exc:
+    nope = str(exc)
+print(json.dumps({
+    "loaded": loaded,
+    "all": sorted(uwbcap.__all__),
+    "distinct": len(set(uwbcap.__all__)) == len(uwbcap.__all__),
+    "mismatched": [
+        name for module, names in public.items() for name in names
+        if getattr(uwbcap, name) is not getattr(importlib.import_module("uwbcap." + module), name)
+    ],
+    "capacity": capacity,
+    "nope": nope,
+    "dir": sorted(set(uwbcap.__all__) - set(dir(uwbcap))),
+}))
+"""
+    result = json.loads(_fresh_python(script, json.dumps(_PUBLIC_NAMES)))
+    names = sorted(name for names in _PUBLIC_NAMES.values() for name in names)
+    assert len(names) == 55
+    assert result == {
+        "loaded": [],
+        "all": names,
+        "distinct": True,
+        "mismatched": [],
+        "capacity": "uwbcap.capacity",
+        "nope": "module 'uwbcap' has no attribute 'nope'",
+        "dir": [],
+    }
