@@ -11,14 +11,19 @@ Every capacity emitted here is a direct call into :mod:`uwbcap.capacity`
 columnar ``SweepTable``); this module adds grids and bookkeeping, never
 arithmetic.  Machine output is serialized at 10 significant digits, the
 precision the reference tables are printed at, by one column formatter
-shared by CSV, JSON and the human-readable table.
+shared by CSV, JSON and the human-readable table: it formats a sweep's
+repeating columns once per distinct value and its other columns chunk by
+chunk, derives JSON tokens from the 10-digit text, and fills one ``%``
+template per chunk of rows.
 """
 
 import dataclasses
 import io
 import json
 import math
+import sys
 from collections.abc import Sequence
+from itertools import chain
 from dataclasses import dataclass
 
 from . import capacity as cap
@@ -37,6 +42,9 @@ DEFAULT_DELAY_SPREADS_S = (9e-9, 17e-9, 89e-9)
 DEFAULT_MIXED_RANGE_HZ = (1e9, 60e9)
 #: Default converter-rate axis for mostly digital sweeps, 0.1-100 GSPS.
 DEFAULT_DIGITAL_RANGE_HZ = (1e8, 1e11)
+
+#: Most rows a sweep may hold: 80 MB per float column.
+_MAX_ROWS = 10**7
 
 _MODE_PARAMETER = {
     cap.IDEAL: "bandwidth",
@@ -82,6 +90,9 @@ class SweepSpec:
             raise ValueError("need 0 < start_hz < stop_hz")
         if self.points < 2:
             raise ValueError("a sweep needs at least 2 points")
+        rows = self.points * len(self.delay_spreads) * max(len(self.sampling_factors), 1)
+        if rows > _MAX_ROWS:
+            raise ValueError(f"points = {self.points} gives {rows} sweep rows, over {_MAX_ROWS}")
         if self.spacing not in (LINEAR, LOGARITHMIC):
             raise ValueError(f"spacing must be {LINEAR!r} or {LOGARITHMIC!r}")
         if not self.delay_spreads:
@@ -98,16 +109,21 @@ class SweepSpec:
             raise ValueError("the derivative output is not defined in ideal mode")
 
     def grid(self):
-        """The swept frequencies, a 1-D float array."""
+        """The swept frequencies, a 1-D float array.  Raises ValueError if
+        any lies past the largest float."""
         import numpy as np
 
-        # near the float range numpy's intermediate powers overflow; geomspace
-        # then sets its endpoints exactly, and the capacity models reject any
-        # inner point left at inf
+        # near the float range numpy's intermediate powers overflow
         with np.errstate(over="ignore"):
-            if self.spacing == LINEAR:
-                return np.linspace(self.start_hz, self.stop_hz, self.points)
-            return np.geomspace(self.start_hz, self.stop_hz, self.points)
+            space = np.linspace if self.spacing == LINEAR else np.geomspace
+            grid = space(self.start_hz, self.stop_hz, self.points)
+        if not np.isfinite(grid).all():
+            raise ValueError(
+                f"the {self.spacing} sweep from {self.start_hz!r} Hz to {self.stop_hz!r} Hz "
+                f"overflows: {np.count_nonzero(~np.isfinite(grid))} grid points are past "
+                "the largest float"
+            )
+        return grid
 
 
 @dataclass(frozen=True)
@@ -503,7 +519,9 @@ def _columns(rows) -> dict:
     return {name: [row.get(name) for row in dicts] for name in names}
 
 
-_TEN_DIGITS = "{:.10g}".format
+#: The float rule of every format: 10 significant digits.
+_TEN_DIGIT_FIELD = "%.10g"
+_TEN_DIGITS = _TEN_DIGIT_FIELD.__mod__
 
 
 def human_cell(value) -> str:
@@ -515,7 +533,8 @@ def human_cell(value) -> str:
 
 
 def _human_floats(values) -> list:
-    return list(map(_TEN_DIGITS, values.tolist()))
+    # one template fill and a split beat formatting value by value
+    return ((_TEN_DIGIT_FIELD + "\n") * len(values) % tuple(values.tolist())).splitlines()
 
 
 def _csv_cell(value) -> str:
@@ -534,37 +553,62 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
+def _positional(text: str) -> str:
+    """A ``%.10g`` text of exponent 10-15 spelled out, as ``repr`` does."""
+    mantissa, exponent = text.split("e")
+    sign = "-" if mantissa[0] == "-" else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    return sign + digits.ljust(int(exponent) + 1, "0") + ".0"
+
+
 def _json_floats(values) -> list:
+    """``repr`` of each value's 10-digit rounding, read off its ``%.10g``
+    text without parsing it back: ``.0`` after an integer, exponents 10-15
+    spelled out.  An array holding a NaN, an inf, a subnormal or a
+    magnitude from 1e308 takes ``_json_cell`` instead."""
     import numpy as np
 
-    rounded = list(map(float, map(_TEN_DIGITS, values.tolist())))
-    if np.isfinite(rounded).all():
-        return list(map(repr, rounded))
-    return list(map(_json_cell, values.tolist()))
+    magnitude = np.abs(values)
+    if not ((magnitude < 1e308) & ((magnitude >= sys.float_info.min) | (values == 0))).all():
+        return list(map(_json_cell, values.tolist()))
+    return [
+        text + ".0" if "." not in text and "e" not in text
+        else _positional(text) if "e+1" in text and text[-4] == "e" and text[-1] < "6"
+        else text
+        for text in _human_floats(values)
+    ]
 
 
-def _cells(values, cell, floats) -> list:
-    """One column's formatted cells: a list (row values) cell by cell; a
-    float array through ``floats``, once per distinct value (bit pattern),
-    since the grid, d_RMS and n columns repeat every value many times."""
+def _column(values, cell, floats, raw=None):
+    """One column's ``%`` field and its cells, ``_CHUNK_ROWS`` rows at a
+    time: a list (row values) cell by cell; a float array through
+    ``floats``, once per distinct value (bit pattern) if any value repeats,
+    as in the grid, d_RMS and n columns, else chunk slice by chunk slice,
+    given as floats to a ``raw`` field if there is one."""
+    starts = range(0, len(values), _CHUNK_ROWS)
     if isinstance(values, list):
-        return [cell(v) for v in values]
+        return "%s", ([cell(v) for v in values[i : i + _CHUNK_ROWS]] for i in starts)
     import numpy as np
 
     bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
-    bits, index = np.unique(bits, return_inverse=True)
-    text = np.array(floats(bits.view(np.float64)), dtype=object)
-    return text[index.ravel()].tolist()
+    if not np.diff(np.sort(bits)).all():  # a value repeats
+        distinct, index = np.unique(bits, return_inverse=True)
+        text = np.array(floats(distinct.view(np.float64)), dtype=object)
+        return "%s", (text[index[i : i + _CHUNK_ROWS]].tolist() for i in starts)
+    values = bits.view(np.float64)
+    if raw:
+        return raw, (values[i : i + _CHUNK_ROWS].tolist() for i in starts)
+    return "%s", (floats(values[i : i + _CHUNK_ROWS]) for i in starts)
 
 
-def _write_rows(cells, stream, format_row, separator) -> None:
-    """Write ``format_row(row)`` per row of the column ``cells``,
-    ``separator`` between rows, in chunks of ``_CHUNK_ROWS`` rows."""
-    for start in range(0, len(cells[0]), _CHUNK_ROWS):
-        if start:
+def _write_rows(stream, row, separator, columns) -> None:
+    """Write the ``_column`` chunks of ``columns`` as rows of the ``%``
+    template ``row``, ``separator`` between rows: one fill per chunk."""
+    for number, cells in enumerate(zip(*columns)):
+        if number:
             stream.write(separator)
-        chunk = zip(*(column[start : start + _CHUNK_ROWS] for column in cells))
-        stream.write(separator.join(map(format_row, chunk)))
+        template = separator.join([row] * len(cells[0]))
+        stream.write(template % tuple(chain.from_iterable(zip(*cells))))
 
 
 def emit_csv(rows, stream) -> None:
@@ -575,16 +619,18 @@ def emit_csv(rows, stream) -> None:
     if not columns:
         return
     stream.write(",".join(_csv_cell(name) for name in columns) + "\n")
-    template = ",".join(["%s"] * len(columns)) + "\n"
-    cells = [_cells(values, _csv_cell, _human_floats) for values in columns.values()]
-    _write_rows(cells, stream, template.__mod__, "")
+    fields, chunks = zip(*(
+        _column(values, _csv_cell, _human_floats, _TEN_DIGIT_FIELD) for values in columns.values()
+    ))
+    _write_rows(stream, ",".join(fields) + "\n", "", chunks)
 
 
 def emit_json(rows, stream) -> None:
     """Write a ``SweepTable`` or a list of rows as a JSON array of objects
     with unit-annotated names, floats rounded to 10 significant digits
     (those that would round past the largest float at full precision),
-    laid out as ``json.dump(..., indent=2)`` lays it out."""
+    laid out as ``json.dump(..., indent=2)`` lays it out.  A float array's
+    tokens are read off their 10-digit text (``_json_floats``)."""
     columns = _columns(rows)
     if not columns:
         stream.write("[]\n")
@@ -593,9 +639,8 @@ def emit_json(rows, stream) -> None:
         f"    {json.dumps(name).replace('%', '%%')}: %s" for name in columns
     )
     stream.write("[\n")
-    template = "  {\n" + fields + "\n  }"
-    cells = [_cells(values, _json_cell, _json_floats) for values in columns.values()]
-    _write_rows(cells, stream, template.__mod__, ",\n")
+    chunks = [_column(values, _json_cell, _json_floats)[1] for values in columns.values()]
+    _write_rows(stream, "  {\n" + fields + "\n  }", ",\n", chunks)
     stream.write("\n]\n")
 
 
@@ -607,7 +652,8 @@ def emit_human(rows, stream) -> None:
     columns = _columns(rows)
     if not columns:
         return
-    cells = [_cells(values, human_cell, _human_floats) for values in columns.values()]
+    cells = [[*chain.from_iterable(_column(values, human_cell, _human_floats)[1])]
+             for values in columns.values()]
     template = "  ".join(
         f"%-{max(len(name), *map(len, column))}s" for name, column in zip(columns, cells)
     )
@@ -616,7 +662,7 @@ def emit_human(rows, stream) -> None:
         return (template % row).rstrip() + "\n"
 
     stream.write(line(tuple(columns)))
-    _write_rows(cells, stream, line, "")
+    stream.writelines(map(line, zip(*cells)))
 
 
 def emit_csv_string(rows) -> str:

@@ -32,6 +32,8 @@ _UNDERFLOW_DECAYS = 746.0
 #: Longest tap grid built: 80 MB per float array, and the calibration holds
 #: several such arrays (delays, powers, their products) at once.
 _MAX_TAPS = 10**7
+#: Most trials a validation runs: one faded row of the tap grid each.
+_MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,6 +338,8 @@ def validate_assumption(
     Returns one ``IsiReport`` per guard multiple, in the given order.
 
     Raises:
+        ValueError: trials outside 1 to 10**6, a negative seed, or no guard
+            multiple.
         DomainError: a delay spread, pulse duration or tap spacing that is
             not finite and > 0, a guard multiple that is not finite and
             >= 0, a tap spacing so fine that the default grid would exceed
@@ -343,6 +347,8 @@ def validate_assumption(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials = {trials} exceeds the {_MAX_TRIALS} a validation may run")
     if rng_seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {rng_seed}")
     if not guard_multiples:

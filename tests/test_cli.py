@@ -497,6 +497,23 @@ def test_near_float_range_runs_warn_nothing(capsys, argv, expected):
     assert run(capsys, *argv) == (0, expected, "")
 
 
+@pytest.mark.filterwarnings("error")
+def test_sweep_grid_past_the_largest_float_names_the_range(capsys):
+    # geomspace between two nearly equal endpoints at the top of the float
+    # range leaves its inner points at inf
+    code, out, err = run(
+        capsys, "sweep", "--mode", "mixed", "--param", "fcircuit",
+        "--from", "1.797693134862315e308Hz", "--to", "1.7976931348623157e308Hz",
+        "--points", "55", "--delay-spreads", "1ns",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the logarithmic sweep from 1.797693134862315e+308 Hz to "
+        "1.7976931348623157e+308 Hz overflows: 53 grid points are past the "
+        "largest float\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # generated capacity and sweep arguments
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ _DIGITAL = "sweep --mode digital --param fs --from 100MSPS --to 100GSPS --points
 _MIXED = "sweep --mode mixed --param fcircuit --from 1GHz --to 60GHz --points 25 --delay-spreads 1ns,5ns,10ns"
 # 6000 rows: more than one emission chunk.
 _DIGITAL_LARGE = "sweep --mode digital --param fs --from 100MSPS --to 100GSPS --points 1000 --delay-spreads 9ns,17ns,89ns --nsampling 2,4 --outputs capacity,derivative,percent"
+# text exponents 9 through 17, integer-valued frequency text
+_WIDE = "sweep --mode mixed --param fcircuit --from 1GHz --to 1e17Hz --points 40 --delay-spreads 1ns,10ns --outputs capacity,derivative,percent"
+# the top of the float range, where JSON keeps full precision
+_TOP = "sweep --mode mixed --param fcircuit --from 1e300Hz --to 1.7976931348623157e308Hz --points 3 --delay-spreads 1ns"
 _SUBSETS = (
     "capacity", "derivative", "percent", "capacity,derivative", "capacity,percent",
     "derivative,percent", "capacity,derivative,percent",
@@ -67,6 +71,9 @@ def _argv_set() -> list:
         "sweep --mode digital --param fs --from 1GSPS --to 2GSPS --points 4 --delay-spreads 17ns --nsampling 4,1 --format csv",
         "sweep --mode digital --param fs --from 1GSPS --to 2GSPS --points 4 --delay-spreads 0ns --nsampling 1 --outputs percent --format csv",
     ]
+    for base in (_WIDE, _TOP):
+        for fmt in ("human", "csv", "json"):
+            cases.append(f"{base} --format {fmt}")
     for which in ("iv", "vii"):
         for fmt in ("human", "csv", "json"):
             cases.append(f"table {which} --format {fmt}")
@@ -178,6 +185,14 @@ GOLDEN = {
     'sweep --mode mixed --param fcircuit --from 1GHz --to 2GHz --points 4 --delay-spreads 17ns,0ns --outputs capacity,percent --format csv': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'sweep --mode digital --param fs --from 1GSPS --to 2GSPS --points 4 --delay-spreads 17ns --nsampling 4,1 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'sweep --mode digital --param fs --from 1GSPS --to 2GSPS --points 4 --delay-spreads 0ns --nsampling 1 --outputs percent --format csv': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    # recorded before the JSON token rule stopped re-parsing each 10-digit
+    # text: exponents 9-17, integer-valued text, the top of the float range
+    'sweep --mode mixed --param fcircuit --from 1GHz --to 1e17Hz --points 40 --delay-spreads 1ns,10ns --outputs capacity,derivative,percent --format human': (0, '8fcf71d6aaa073c85ba9c3fa90a4222215e91ee8d46dbeb3babc43e5d6f8ec4c'),
+    'sweep --mode mixed --param fcircuit --from 1GHz --to 1e17Hz --points 40 --delay-spreads 1ns,10ns --outputs capacity,derivative,percent --format csv': (0, '7dce74c8c1db0fb810861f93e1a164a7eb3454833b2f3066271a4d1eb26182c7'),
+    'sweep --mode mixed --param fcircuit --from 1GHz --to 1e17Hz --points 40 --delay-spreads 1ns,10ns --outputs capacity,derivative,percent --format json': (0, 'd49038e47862b01010207e0ef99047b7490e38c9c795253f24c8b9505c7a6116'),
+    'sweep --mode mixed --param fcircuit --from 1e300Hz --to 1.7976931348623157e308Hz --points 3 --delay-spreads 1ns --format human': (0, '5724d5306f9033e94b5ceb556c4c2a4c7d61d2bfffd772ba27ed67f7daec7528'),
+    'sweep --mode mixed --param fcircuit --from 1e300Hz --to 1.7976931348623157e308Hz --points 3 --delay-spreads 1ns --format csv': (0, '8a7890eba8110bc7e2d06f4ff48357e1f946b33a2e3c7355185627cf62aa6915'),
+    'sweep --mode mixed --param fcircuit --from 1e300Hz --to 1.7976931348623157e308Hz --points 3 --delay-spreads 1ns --format json': (0, 'f5b0909a8a0754ee4bc633909f94f3d09287445ff334d6fd4206b553a4c4cf2d'),
     'table iv --format human': (0, '6a95b8fbfd4d6333594682b84ffea502967fbd59277e335b0dfef53bc8b00bdd'),
     'table iv --format csv': (0, 'c6e275d92be9e0322bd411bf8bcbb2375296ff0b7a6fccd50a6e7043ee893caa'),
     'table iv --format json': (0, '1bd80a52f2183b6ba1dd8b5f3ce126522cd97b0a1357a8522773e852b9d54ae6'),

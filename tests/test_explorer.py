@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import uwbcap.capacity as cap
 from uwbcap import explorer
@@ -154,6 +156,28 @@ class TestSweepSpecValidation:
             digital_spec(start_hz=1e11, stop_hz=1e8)
         with pytest.raises(ValueError, match="spacing"):
             digital_spec(spacing="cubic")
+
+    def test_rows_are_bounded_before_any_allocation(self, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        for name in ("geomspace", "linspace", "empty", "array"):
+            monkeypatch.setattr(np, name, allocate)
+        monkeypatch.setattr(cap, "capacity_grid", allocate)
+        # 3 delay spreads x 2 sampling factors: 6 rows per point
+        with pytest.raises(ValueError, match=r"^points = 1666667 gives 10000002 sweep rows, over 10000000$"):
+            digital_spec(points=10**7 // 6 + 1)
+        digital_spec(points=10**7 // 6)  # at the bound: accepted, not run
+
+    def test_grid_past_the_largest_float_names_the_range(self):
+        spec = SweepSpec(
+            mode=cap.MIXED, swept_parameter="circuit_frequency",
+            start_hz=1.797693134862315e308, stop_hz=1.7976931348623157e308, points=55,
+            delay_spreads=(spread(1),),
+        )
+        with pytest.raises(ValueError, match=r"from 1\.797693134862315e\+308 Hz to "
+                           r"1\.7976931348623157e\+308 Hz overflows"):
+            spec.grid()
 
     def test_delay_spreads_required_and_typed(self):
         with pytest.raises(ValueError, match="at least one delay spread"):
@@ -409,6 +433,40 @@ class TestEmission:
         assert len(lines) == 6
 
 
+_TOKEN_EXAMPLES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308,
+    *(float("1234567890123456"[:digits]) for digits in range(1, 17)),
+    *(float(f"1e{exponent}") for exponent in range(9, 18)),
+    *(float(f"-1.5e{exponent}") for exponent in range(9, 18)),
+)
+
+
+def with_token_examples(test):
+    for value in _TOKEN_EXAMPLES:
+        test = example(value)(test)
+    return test
+
+
+class TestTokenRule:
+    """The JSON token of a float array, read off its 10-digit text, is what
+    json.dumps writes for the 10-digit rounding of each value."""
+
+    @with_token_examples
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_token_is_json_of_the_ten_digit_rounding(self, value):
+        rounded = float("{:.10g}".format(value))
+        expected = json.dumps(rounded) if math.isfinite(rounded) else explorer._json_cell(value)
+        assert explorer._json_floats(np.array([value])) == [expected]
+        assert explorer._json_floats(np.array([value, 1.5])) == [expected, "1.5"]
+
+    @with_token_examples
+    @given(st.floats())
+    def test_percent_and_format_texts_agree(self, value):
+        assert "%.10g" % value == "{:.10g}".format(value)
+        assert explorer._human_floats(np.array([value])) == ["{:.10g}".format(value)]
+
+
 def stdlib_csv(dicts) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(dicts[0]), lineterminator="\n")
@@ -479,6 +537,21 @@ class TestColumnarEmission:
         })
         dicts = rows_to_dicts(table)
         assert self.emitted(table) == (stdlib_csv(dicts), stdlib_json(dicts))
+
+    def test_table_with_repeating_and_distinct_columns(self):
+        # chunks of 3 rows cut the runs of the repeating columns and the
+        # all-distinct ones alike
+        table = SweepTable({
+            "frequency_hz": np.tile([1e9, 2.5e10, 1e15, 3e16], 2),
+            "rms_delay_spread_s": np.repeat([1e-9, 17e-9], 4),
+            "capacity_bit_s": np.array(
+                [1 / 3, 2e10, -123456789012.0, 1e15, 1.5e16, 1234567890.0, 0.0, -0.0]
+            ),
+            "percent_of_max": np.array([0.5, 1e-5, 99.99999999, 12.0, 1e-300, 7e22, 1e9, -3.0]),
+        })
+        dicts = rows_to_dicts(table)
+        assert self.emitted(table) == (stdlib_csv(dicts), stdlib_json(dicts))
+        assert self.human(table) == stdlib_human(table)
 
     def test_row_list_with_text_needing_quotes(self):
         rows = [

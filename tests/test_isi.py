@@ -211,6 +211,29 @@ class TestSynthesizeChannel:
 # spill
 # ---------------------------------------------------------------------------
 
+def geometric_spill(channel, pulse, period) -> float:
+    """Spill of a calibrated (fading-free) profile in closed form.
+
+    Its tap powers are r**i / S at delays i * step, with r = exp(-step / gamma)
+    and S = (1 - r**N) / (1 - r); gamma is read back from the ratio of the
+    first two tap powers.  Taps at or past the period spill whole:
+    sum(r**i, i >= i1).  The taps straddling it, i0 <= i < i1, spill the
+    share (c + j * step) / pulse, j = i - i0, c = i0 * step + pulse - period:
+    an arithmetic-geometric series.
+    """
+    step, n = float(channel.delays[1]), len(channel.delays)
+    gamma = step / math.log(channel.powers[0] / channel.powers[1])
+    r, one_minus_r = math.exp(-step / gamma), -math.expm1(-step / gamma)
+    i1 = min(math.ceil(period / step), n)
+    i0 = min(max(math.floor((period - pulse) / step) + 1, 0), i1)
+    m, c = i1 - i0, i0 * step + pulse - period
+    geometric = (1 - r**m) / one_minus_r
+    arithmetic = (r - m * r**m + (m - 1) * r ** (m + 1)) / one_minus_r**2
+    straddling = r**i0 * (c * geometric + step * arithmetic) / pulse
+    full = (r**i1 - r**n) / one_minus_r
+    return (full + straddling) / ((1 - r**n) / one_minus_r)
+
+
 class TestIsiSpill:
     def test_point_channel_spills_nothing(self):
         line = TappedDelayLine.from_taps([(0.0, 1.0)])
@@ -249,6 +272,19 @@ class TestIsiSpill:
         channel = synthesize_channel(9e-9, 0.09e-9, 1500)
         spill = isi_spill(channel, 0.25e-9, 0.25e-9 + 9e-9)
         assert rel(spill, math.exp(-1)) <= 0.2
+
+    @pytest.mark.parametrize("pulse", [0.25e-9, 0.5e-9])
+    @pytest.mark.parametrize(
+        "d_rms, spacing, taps",
+        [(9e-9, 9e-9 / 40, 600), (1e-9, 0.05e-9, 400), (9e-9, 0.09e-9, 1500),
+         (17e-9, 17e-9 / 40, 600)],
+    )
+    def test_matches_the_grid_exact_geometric_series(self, d_rms, spacing, taps, pulse):
+        channel = synthesize_channel(d_rms, spacing, taps)
+        for k in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0):
+            period = pulse + k * d_rms
+            expected = geometric_spill(channel, pulse, period)
+            assert rel(isi_spill(channel, pulse, period), expected) <= 1e-9
 
     def test_symbol_shorter_than_pulse_is_rejected(self):
         channel = synthesize_channel(9e-9, 0.5e-9, 400)
@@ -330,6 +366,17 @@ class TestValidateAssumption:
             validate_assumption(9e-9, 0.25e-9, guard_multiples=(-1,))
         with pytest.raises(DomainError):
             validate_assumption(9e-9, 0.25e-9, tap_spacing=5e-9)
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_trials_are_bounded_before_any_allocation(self, monkeypatch, deterministic):
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        for name in ("empty", "zeros", "arange"):
+            monkeypatch.setattr(np, name, allocate)
+        monkeypatch.setattr(isi, "synthesize_channel", allocate)
+        with pytest.raises(ValueError, match=r"^trials = 1000001 exceeds the 1000000 "):
+            validate_assumption(9e-9, 0.25e-9, trials=10**6 + 1, deterministic=deterministic)
 
     @pytest.mark.parametrize("deterministic", [False, True])
     def test_negative_seed_is_named_before_any_draw(self, monkeypatch, deterministic):
