@@ -241,7 +241,13 @@ def _fraction_of_max(overhead, d):
 
 
 def _half_log_factor(snr: SnrValue) -> float:
-    return 0.5 * math.log2(1.0 + snr.linear_ratio)
+    factor = 0.5 * math.log2(1.0 + snr.linear_ratio)
+    if factor == 0.0:  # 1 + SNR rounds to 1
+        raise DomainError(
+            f"SNR {snr.linear_ratio!r} ({snr.db:.6g} dB) is too small: its Shannon "
+            "factor (1/2) log2(1 + SNR) rounds to 0 bit/symbol"
+        )
+    return factor
 
 
 def _quotient(numerator, value: float, name: str, unit: str, quotient: str) -> float:
@@ -564,7 +570,9 @@ def capacity_grid(
     digital = mode == MOSTLY_DIGITAL
     if snr is None:
         snr = SnrValue(BINARY_SNR_LINEAR)
-    multiplier = {IDEAL: _half_log_factor(snr), BINARY: 1.0}.get(mode, modulation.multiplier)
+    multiplier = {BINARY: 1.0}.get(mode, modulation.multiplier)
+    if mode == IDEAL:  # other modes ignore the SNR, even one whose factor rounds to 0
+        multiplier = _half_log_factor(snr)
     factors = tuple(sampling_factors) if digital else (None,)
 
     f = np.asarray(frequencies, dtype=float)

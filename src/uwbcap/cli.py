@@ -197,10 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--outputs", type=_outputs_list, default=("capacity",),
         metavar="LIST", help="subset of capacity,derivative,percent",
     )
-    sweep.add_argument("--mary", type=int, default=2)
-    sweep.add_argument(
-        "--mary-convention", choices=(cap.MARY_PAPER, cap.MARY_LOG2), default=cap.MARY_PAPER
-    )
+    add_mary(sweep)
     sweep.add_argument("--snr-db", type=float, help="SNR for ideal mode (default: linear 3)")
     sweep.set_defaults(handler=cmd_sweep)
 
@@ -228,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate-isi", parents=[common],
         help="measure energy spill past the T_p + k*d_RMS symbol spacing",
     )
-    validate.add_argument("--delay-spread", type=_quantity(TIME), required=True, metavar="QTY")
+    add_delay(validate)
     validate.add_argument("--pulse-duration", type=_quantity(TIME), required=True, metavar="QTY")
     validate.add_argument(
         "--guard-multiples", type=_float_list, default=(1.0, 2.0, 3.0, 4.0, 5.0),

@@ -114,47 +114,43 @@ class AntennaConfigEntry:
             raise ValueError("rms_delay_spread must be > 0 s")
 
 
-def _adc(designer, year, fs, bits, power, source, ref=""):
-    return AdcEntry(designer, year, fs, bits, power, source, ref)
-
-
 _ADC_STATE_OF_ART = (
-    _adc("W. Yang et al.", 2001, 75e6, 14, 0.35, STATE_OF_ART, "[8]"),
-    _adc("Y. Akazawa et al.", 1987, 400e6, 8, None, STATE_OF_ART, "[9]"),
-    _adc("I. Mehr and L. Singer", 1999, 500e6, 6, None, STATE_OF_ART, "[10]"),
-    _adc("HRL Labs", 1988, 1e9, 4, 0.1, STATE_OF_ART, "[7]"),
-    _adc("IERU", 1988, 1e9, 4, 2.4, STATE_OF_ART, "[7]"),
-    _adc("Fraunhofer & TriQuint", 1992, 1e9, 5, 3.4, STATE_OF_ART, "[7]"),
-    _adc("Signal Processing Tech", 1995, 1e9, 8, 5.5, STATE_OF_ART, "[7]"),
-    _adc("Raytheon", 1989, 1.2e9, 5, 3.0, STATE_OF_ART, "[7]"),
-    _adc("TRW", 1996, 1.75e9, 8, None, STATE_OF_ART, "[7]"),
-    _adc("Rockwell", 1995, 2e9, 8, 5.3, STATE_OF_ART, "[7]"),
-    _adc("T. Wakimoto et al.", 1988, 2e9, 6, None, STATE_OF_ART, "[11]"),
-    _adc("LEPA", 1986, 3e9, 4, 0.15, STATE_OF_ART, "[7]"),
-    _adc("S. Park et al.", 2006, 4e9, 4, 0.53, STATE_OF_ART, "[12]"),
-    _adc("HP & Rockwell", 1994, 4e9, 6, 5.7, STATE_OF_ART, "[7]"),
-    _adc("HP", 1991, 4e9, 8, 39.0, STATE_OF_ART, "[7]"),
-    _adc("HRL Labs", 1996, 8e9, 3, 3.5, STATE_OF_ART, "[7]"),
-    _adc("J. Lee et al.", 2003, 10e9, 5, None, STATE_OF_ART, "[13]"),
+    AdcEntry("W. Yang et al.", 2001, 75e6, 14, 0.35, STATE_OF_ART, "[8]"),
+    AdcEntry("Y. Akazawa et al.", 1987, 400e6, 8, None, STATE_OF_ART, "[9]"),
+    AdcEntry("I. Mehr and L. Singer", 1999, 500e6, 6, None, STATE_OF_ART, "[10]"),
+    AdcEntry("HRL Labs", 1988, 1e9, 4, 0.1, STATE_OF_ART, "[7]"),
+    AdcEntry("IERU", 1988, 1e9, 4, 2.4, STATE_OF_ART, "[7]"),
+    AdcEntry("Fraunhofer & TriQuint", 1992, 1e9, 5, 3.4, STATE_OF_ART, "[7]"),
+    AdcEntry("Signal Processing Tech", 1995, 1e9, 8, 5.5, STATE_OF_ART, "[7]"),
+    AdcEntry("Raytheon", 1989, 1.2e9, 5, 3.0, STATE_OF_ART, "[7]"),
+    AdcEntry("TRW", 1996, 1.75e9, 8, None, STATE_OF_ART, "[7]"),
+    AdcEntry("Rockwell", 1995, 2e9, 8, 5.3, STATE_OF_ART, "[7]"),
+    AdcEntry("T. Wakimoto et al.", 1988, 2e9, 6, None, STATE_OF_ART, "[11]"),
+    AdcEntry("LEPA", 1986, 3e9, 4, 0.15, STATE_OF_ART, "[7]"),
+    AdcEntry("S. Park et al.", 2006, 4e9, 4, 0.53, STATE_OF_ART, "[12]"),
+    AdcEntry("HP & Rockwell", 1994, 4e9, 6, 5.7, STATE_OF_ART, "[7]"),
+    AdcEntry("HP", 1991, 4e9, 8, 39.0, STATE_OF_ART, "[7]"),
+    AdcEntry("HRL Labs", 1996, 8e9, 3, 3.5, STATE_OF_ART, "[7]"),
+    AdcEntry("J. Lee et al.", 2003, 10e9, 5, None, STATE_OF_ART, "[13]"),
 )
 
 _ADC_MARKET = (
-    _adc("Texas Instrument", None, 210e6, 12, 1.23, MARKET),
-    _adc("Analog Device", None, 400e6, 12, 6.8, MARKET),
-    _adc("Texas Instrument", None, 500e6, 12, 2.25, MARKET),
-    _adc("e2v", None, 500e6, 12, 2.3, MARKET),
-    _adc("e2v", None, 500e6, 8, 1.4, MARKET),
-    _adc("National Semiconductor", None, 500e6, 8, 0.8, MARKET),
-    _adc("Maxim", None, 600e6, 8, None, MARKET),
-    _adc("Maxim", None, 1e9, 8, None, MARKET),
-    _adc("National Semiconductor", None, 1e9, 8, 1.2, MARKET),
-    _adc("National Semiconductor", None, 1.5e9, 8, 1.5, MARKET),
-    _adc("Maxim", None, 1.5e9, 8, None, MARKET),
-    _adc("e2v", None, 2e9, 10, 4.6, MARKET),
-    _adc("e2v", None, 2.2e9, 10, 4.2, MARKET),
-    _adc("Maxim", None, 2.2e9, 8, None, MARKET),
-    _adc("National Semiconductor", None, 3e9, 8, 1.6, MARKET),
-    _adc("e2v", None, 5e9, 8, 3.9, MARKET),
+    AdcEntry("Texas Instrument", None, 210e6, 12, 1.23, MARKET),
+    AdcEntry("Analog Device", None, 400e6, 12, 6.8, MARKET),
+    AdcEntry("Texas Instrument", None, 500e6, 12, 2.25, MARKET),
+    AdcEntry("e2v", None, 500e6, 12, 2.3, MARKET),
+    AdcEntry("e2v", None, 500e6, 8, 1.4, MARKET),
+    AdcEntry("National Semiconductor", None, 500e6, 8, 0.8, MARKET),
+    AdcEntry("Maxim", None, 600e6, 8, None, MARKET),
+    AdcEntry("Maxim", None, 1e9, 8, None, MARKET),
+    AdcEntry("National Semiconductor", None, 1e9, 8, 1.2, MARKET),
+    AdcEntry("National Semiconductor", None, 1.5e9, 8, 1.5, MARKET),
+    AdcEntry("Maxim", None, 1.5e9, 8, None, MARKET),
+    AdcEntry("e2v", None, 2e9, 10, 4.6, MARKET),
+    AdcEntry("e2v", None, 2.2e9, 10, 4.2, MARKET),
+    AdcEntry("Maxim", None, 2.2e9, 8, None, MARKET),
+    AdcEntry("National Semiconductor", None, 3e9, 8, 1.6, MARKET),
+    AdcEntry("e2v", None, 5e9, 8, 3.9, MARKET),
 )
 
 _CHANNELS = (

@@ -30,7 +30,6 @@ from . import capacity as cap
 from . import datasets
 
 MODES = cap.MODES
-SWEPT_PARAMETERS = ("bandwidth", "sampling_frequency", "circuit_frequency")
 OUTPUTS = cap.OUTPUTS
 LINEAR = "linear"
 LOGARITHMIC = "logarithmic"
@@ -252,72 +251,47 @@ TABLE_VII_GOLDEN = (
     (0.87, "Deparis et al.", 20.00, 1086.96, 2173.91, 3260.87),
 )
 
-_TABLE_IV_ENVIRONMENTS = ("Residential LOS", "Industrial LOS", "Industrial NLOS")
-_TABLE_IV_SAMPLING_HZ = (2e9, 5e9, 10e9)
-_TABLE_IV_FACTOR = 4.0
-
-# (antenna-config row, pulse-generator author) pairs, in table order: the
-# 3-10 GHz row against three generators, then the 60 GHz beamwidth ladder
-# with the fastest CMOS generator, then the sharpest beams with the pHEMT.
-_TABLE_VII_LAYOUT = (
-    (0, "Kim et al."),
-    (0, "Badalawa et al."),
-    (0, "Bachelet et al."),
-    (1, "Bachelet et al."),
-    (2, "Bachelet et al."),
-    (3, "Bachelet et al."),
-    (4, "Bachelet et al."),
-    (5, "Bachelet et al."),
-    (6, "Bachelet et al."),
-    (6, "Deparis et al."),
-)
+# antenna-config row of each TABLE_VII_GOLDEN entry: the 3-10 GHz row
+# against three generators, then the 60 GHz beamwidth ladder with the
+# fastest CMOS generator, then the sharpest beams with the pHEMT.
+_TABLE_VII_ANTENNA_ROWS = (0, 0, 0, 1, 2, 3, 4, 5, 6, 6)
 
 
 def reproduce_table_iv() -> list:
-    """Mostly-digital data rates over the reference operating points.
+    """Mostly-digital data rates at the operating points of ``TABLE_IV_GOLDEN``.
 
-    Three channel environments x three converter rates at sampling factor
-    4, binary modulation; 9 rows in table order.
+    Each entry's channel environment, converter rate and sampling factor,
+    binary modulation, with the environment's delay spread from the channel
+    survey; 9 rows in table order.
     """
     channels = {c.name: c for c in datasets.load_builtin(datasets.CHANNELS)}
     rows = []
-    for name in _TABLE_IV_ENVIRONMENTS:
-        env = channels[name]
-        d = cap.DelaySpread(env.rms_delay_spread)
-        for fs in _TABLE_IV_SAMPLING_HZ:
-            result = cap.mostly_digital_capacity(
-                cap.SamplingConfig(fs, _TABLE_IV_FACTOR), d
-            )
-            rows.append(
-                ScenarioRow(
-                    environment=name,
-                    rms_delay_spread_s=env.rms_delay_spread,
-                    frequency_hz=fs,
-                    sampling_factor=_TABLE_IV_FACTOR,
-                    modulation_order=2,
-                    capacity_mbit_s=result.rate_mbit_s,
-                )
-            )
+    for name, _, fs_gsps, factor, _ in TABLE_IV_GOLDEN:
+        d = channels[name].rms_delay_spread
+        fs = fs_gsps * 1e9
+        result = cap.mostly_digital_capacity(cap.SamplingConfig(fs, factor), cap.DelaySpread(d))
+        rows.append(ScenarioRow(name, d, fs, factor, modulation_order=2,
+                                capacity_mbit_s=result.rate_mbit_s))
     return rows
 
 
 def reproduce_table_vii() -> list:
-    """Mixed-implementation data rates over the reference operating points.
+    """Mixed-implementation data rates at the operating points of
+    ``TABLE_VII_GOLDEN``.
 
-    Ten (delay spread, pulse generator) pairs, each at modulation orders
-    2, 3 and 4 under the M - 1 multiplier convention; 30 rows, grouped by
-    pair in table order.  The operating frequency of each pair is the
-    bandwidth 1 / min_pulse_duration of its generator.
+    Ten (antenna configuration, pulse generator) pairs, each at modulation
+    orders 2, 3 and 4 under the M - 1 multiplier convention; 30 rows,
+    grouped by pair in table order.  The operating frequency of each pair
+    is the bandwidth 1 / min_pulse_duration of its generator.
     """
     generators = {
         g.author: g for g in datasets.load_builtin(datasets.PULSE_GENERATORS)
     }
     antennas = datasets.load_builtin(datasets.ANTENNA_CONFIGS)
     rows = []
-    for antenna_index, author in _TABLE_VII_LAYOUT:
+    for antenna_index, (_, author, *_) in zip(_TABLE_VII_ANTENNA_ROWS, TABLE_VII_GOLDEN):
         antenna = antennas[antenna_index]
-        generator = generators[author]
-        bandwidth = 1.0 / generator.min_pulse_duration
+        bandwidth = 1.0 / generators[author].min_pulse_duration
         d = cap.DelaySpread(antenna.rms_delay_spread)
         label = (
             f"{antenna.band} Tx{antenna.tx_beamwidth:g}/Rx{antenna.rx_beamwidth:g} "
@@ -330,62 +304,52 @@ def reproduce_table_vii() -> list:
                 cap.ModulationScheme(order, cap.MARY_PAPER),
             )
             rows.append(
-                ScenarioRow(
-                    environment=label,
-                    rms_delay_spread_s=antenna.rms_delay_spread,
-                    frequency_hz=bandwidth,
-                    sampling_factor=None,
-                    modulation_order=order,
-                    capacity_mbit_s=result.rate_mbit_s,
-                )
+                ScenarioRow(label, antenna.rms_delay_spread, bandwidth, None, order,
+                            result.rate_mbit_s)
             )
     return rows
 
 
-def _relative_error(actual: float, expected: float) -> float:
-    return abs(actual - expected) / abs(expected)
+def _mismatches(where: str, checks, tolerance: float) -> list:
+    """A description of each (quantity, reproduced, printed) triple of
+    ``checks`` whose relative error exceeds ``tolerance``."""
+    return [
+        f"{where}: {quantity} {got:.10g} vs printed {printed:.10g} (relative error {err:.3g})"
+        for quantity, got, printed in checks
+        if (err := abs(got - printed) / abs(printed)) > tolerance
+    ]
 
 
 def check_table_iv(tolerance: float = 1e-6) -> list:
-    """Compare the reproduction against the printed fixture.
+    """Compare the reproduction against the printed fixture: each row's
+    delay spread and capacity.
 
     Returns a list of mismatch descriptions; empty means every row agrees
     within ``tolerance`` relative error.
     """
     problems = []
-    for row, golden in zip(reproduce_table_iv(), TABLE_IV_GOLDEN):
-        env, d_ns, fs_gsps, factor, printed = golden
-        err = _relative_error(row.capacity_mbit_s, printed)
-        if err > tolerance:
-            problems.append(
-                f"{env} at {fs_gsps:g} GSPS: got {row.capacity_mbit_s:.10g} "
-                f"Mbit/s, printed {printed:.10g} (relative error {err:.3g})"
-            )
+    for row, (env, d_ns, fs_gsps, _, printed) in zip(reproduce_table_iv(), TABLE_IV_GOLDEN):
+        problems += _mismatches(f"{env} at {fs_gsps:g} GSPS", (
+            ("d_RMS (ns)", row.rms_delay_spread_s * 1e9, d_ns),
+            ("capacity (Mbit/s)", row.capacity_mbit_s, printed),
+        ), tolerance)
     return problems
 
 
 def check_table_vii(tolerance: float = 5e-3) -> list:
-    """Compare the reproduction against the printed fixture (0.5% default,
-    the fixture being rounded to two decimals)."""
+    """Compare the reproduction against the printed fixture: each entry's
+    delay spread, bandwidth and three capacities (0.5% default, the
+    fixture being rounded to two decimals)."""
     problems = []
     rows = reproduce_table_vii()
-    for index, golden in enumerate(TABLE_VII_GOLDEN):
-        d_ns, author, bandwidth_ghz, *printed_rates = golden
+    for index, (d_ns, author, bandwidth_ghz, *rates) in enumerate(TABLE_VII_GOLDEN):
         group = rows[3 * index : 3 * index + 3]
-        bw_err = _relative_error(group[0].frequency_hz / 1e9, bandwidth_ghz)
-        if bw_err > tolerance:
-            problems.append(
-                f"{author} at {d_ns:g} ns: bandwidth {group[0].frequency_hz / 1e9:.6g} "
-                f"GHz vs printed {bandwidth_ghz:g} (relative error {bw_err:.3g})"
-            )
-        for row, printed in zip(group, printed_rates):
-            err = _relative_error(row.capacity_mbit_s, printed)
-            if err > tolerance:
-                problems.append(
-                    f"{author} at {d_ns:g} ns, M={row.modulation_order}: got "
-                    f"{row.capacity_mbit_s:.10g} Mbit/s, printed {printed:g} "
-                    f"(relative error {err:.3g})"
-                )
+        problems += _mismatches(f"{author} at {d_ns:g} ns", (
+            ("d_RMS (ns)", group[0].rms_delay_spread_s * 1e9, d_ns),
+            ("bandwidth (GHz)", group[0].frequency_hz / 1e9, bandwidth_ghz),
+            *((f"M={row.modulation_order} capacity (Mbit/s)", row.capacity_mbit_s, rate)
+              for row, rate in zip(group, rates)),
+        ), tolerance)
     return problems
 
 

@@ -17,6 +17,7 @@ at d_RMS = 1 ns, T_p = 0.5 ns and k = 1 the oracle gives 0.286.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -195,9 +196,11 @@ def synthesize_channel(
                       ``numpy.random.default_rng`` accepts.
 
     Raises:
-        DomainError: a spread or spacing that is not finite and > 0, or an
-            infeasible discretization (grid too coarse, too short, longer
-            than 10**7 taps, or so long that tap powers underflow to 0).
+        DomainError: a spread or spacing that is not finite and > 0, a
+            spread whose square is subnormal or whose grid span's square
+            overflows, or an infeasible discretization (grid too coarse, too
+            short, longer than 10**7 taps, or so long that tap powers
+            underflow to 0).
     """
     _require_finite_positive("target_d_rms", target_d_rms)
     _require_finite_positive("tap_spacing", tap_spacing)
@@ -221,10 +224,18 @@ def synthesize_channel(
             f"infeasible discretization: num_taps = {num_taps} exceeds the "
             f"{_MAX_TAPS} taps a grid may hold"
         )
-    if num_taps * tap_spacing < 10.0 * target_d_rms:
+    span = num_taps * tap_spacing
+    if span < 10.0 * target_d_rms:
         raise DomainError(
             "infeasible discretization: num_taps * tap_spacing must cover "
             f"at least 10 * target_d_rms = {10.0 * target_d_rms!r} s"
+        )
+    # the calibration squares the delays: a subnormal d_RMS^2 loses precision
+    # and an overflowing span^2 gives inf (x * x: a float ** 2 raises)
+    if target_d_rms * target_d_rms < sys.float_info.min or span * span == math.inf:
+        raise DomainError(
+            f"delay spread {target_d_rms!r} s is out of range: its square and that of "
+            f"the tap grid's span, {span!r} s, must lie in the normal float range"
         )
     delays, powers = _calibrated_profile(float(target_d_rms), float(tap_spacing), int(num_taps))
     if rng_seed is None:
@@ -248,6 +259,13 @@ def _tail(delays: np.ndarray, pulse_duration: float, symbol_period: float) -> np
         return np.clip((delays + pulse_duration - symbol_period) / pulse_duration, 0.0, 1.0)
 
 
+def _check_pulse(pulse_duration: float, symbol_period: float) -> None:
+    if pulse_duration <= 0:
+        raise ValueError("pulse duration must be > 0 s")
+    if symbol_period < pulse_duration:
+        raise DomainError("symbol period must be at least the pulse duration")
+
+
 def isi_spill(
     channel: TappedDelayLine,
     pulse_duration: float,
@@ -262,12 +280,10 @@ def isi_spill(
     Monotone nonincreasing in the symbol period.
 
     Raises:
+        ValueError: pulse_duration <= 0.
         DomainError: symbol_period < pulse_duration.
     """
-    if pulse_duration <= 0:
-        raise ValueError("pulse duration must be > 0 s")
-    if symbol_period < pulse_duration:
-        raise DomainError("symbol period must be at least the pulse duration")
+    _check_pulse(pulse_duration, symbol_period)
     return float(np.dot(channel.powers, _tail(channel.delays, pulse_duration, symbol_period)))
 
 
@@ -277,10 +293,7 @@ def in_symbol_fraction(
     symbol_period: float,
 ) -> float:
     """Complementary energy fraction arriving before the symbol period."""
-    if pulse_duration <= 0:
-        raise ValueError("pulse duration must be > 0 s")
-    if symbol_period < pulse_duration:
-        raise DomainError("symbol period must be at least the pulse duration")
+    _check_pulse(pulse_duration, symbol_period)
     head = np.clip((symbol_period - channel.delays) / pulse_duration, 0.0, 1.0)
     return float(np.dot(channel.powers, head))
 
@@ -342,8 +355,9 @@ def validate_assumption(
             multiple.
         DomainError: a delay spread, pulse duration or tap spacing that is
             not finite and > 0, a guard multiple that is not finite and
-            >= 0, a tap spacing so fine that the default grid would exceed
-            10**7 taps, or an infeasible discretization.
+            >= 0 or whose symbol period overflows, a tap spacing so fine
+            that the default grid would exceed 10**7 taps, or an
+            infeasible discretization.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -355,8 +369,10 @@ def validate_assumption(
         raise ValueError("at least one guard multiple is required")
     _require_finite_positive("delay spread", target_d_rms)
     _require_finite_positive("pulse duration", pulse_duration)
-    if not all(math.isfinite(k) and k >= 0 for k in guard_multiples):
-        raise DomainError("guard multiples must be finite and >= 0")
+    periods = [pulse_duration + float(k) * target_d_rms for k in guard_multiples]
+    if not all(k >= 0 and math.isfinite(t) for k, t in zip(guard_multiples, periods)):
+        raise DomainError("guard multiples must be finite and >= 0, with symbol periods "
+                          "pulse + k * d_RMS in the float range")
     if tap_spacing is None:
         tap_spacing = target_d_rms / 40.0
     _require_finite_positive("tap_spacing", tap_spacing)
@@ -371,7 +387,6 @@ def validate_assumption(
 
     profile = synthesize_channel(target_d_rms, tap_spacing, num_taps)
     delays, powers = profile.delays, profile.powers
-    periods = [pulse_duration + float(k) * target_d_rms for k in guard_multiples]
     tails = [_tail(delays, pulse_duration, period) for period in periods]
     count = 1 if deterministic else trials
     realized = np.empty(count)

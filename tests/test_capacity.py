@@ -1,9 +1,12 @@
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from uwbcap.capacity import (
     BINARY_SNR_LINEAR,
@@ -491,6 +494,17 @@ class TestOutOfRangeCapacity:
             binary_capacity(PulseSpec.from_bandwidth(1.7976931348623157e308), DelaySpread(0.0))
 
 
+def _sampled_round_trip_points(test):
+    """The 100 (p, n, log10 d) points the round trip was first sampled at,
+    as hypothesis examples."""
+    rng = np.random.default_rng(4)
+    bounds = ((0.01, 0.99), (2, 8), (-10, -6))
+    for _ in range(100):
+        p, n, log10_d = (float(rng.uniform(lo, hi)) for lo, hi in bounds)
+        test = example(p, n, log10_d)(test)
+    return test
+
+
 class TestRequiredFrequency:
     def test_examples(self):
         f = required_frequency(MOSTLY_DIGITAL, 0.9, DelaySpread(17e-9), 4.0)
@@ -503,16 +517,14 @@ class TestRequiredFrequency:
         f = required_frequency(MIXED, 0.5, DelaySpread(10e-9), 1)
         assert rel(f, 1e8) <= 1e-12
 
-    def test_round_trip_through_percent_of_max(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            p = float(rng.uniform(0.01, 0.99))
-            n = float(rng.uniform(2, 8))
-            d = DelaySpread(float(10.0 ** rng.uniform(-10, -6)))
-            f = required_frequency(MOSTLY_DIGITAL, p, d, n)
-            assert rel(percent_of_max(MOSTLY_DIGITAL, f, d, n), p) <= 1e-12
-            f = required_frequency(MIXED, p, d)
-            assert rel(percent_of_max(MIXED, f, d), p) <= 1e-12
+    @given(st.floats(0.01, 0.99), st.floats(2.0, 8.0), st.floats(-10.0, -6.0))
+    @_sampled_round_trip_points
+    def test_round_trip_through_percent_of_max(self, p, n, log10_d):
+        d = DelaySpread(10.0**log10_d)
+        f = required_frequency(MOSTLY_DIGITAL, p, d, n)
+        assert rel(percent_of_max(MOSTLY_DIGITAL, f, d, n), p) <= 1e-12
+        f = required_frequency(MIXED, p, d)
+        assert rel(percent_of_max(MIXED, f, d), p) <= 1e-12
 
     def test_domain_errors(self):
         d = DelaySpread(9e-9)
@@ -528,11 +540,22 @@ class TestRequiredFrequency:
 # ---------------------------------------------------------------------------
 
 class TestMonotonicity:
-    def test_rate_increases_with_frequency(self):
-        d = DelaySpread(17e-9)
+    # frequencies 1.16% or more apart: n/F moves the rate by far more than
+    # its rounding even at 1e15 Hz and 1 us
+    @given(
+        st.builds(
+            lambda start, steps: [10.0**x for x in accumulate(steps, initial=start)],
+            st.floats(6.0, 10.0),
+            st.lists(st.floats(0.005, 0.5), min_size=1, max_size=10),
+        ),
+        st.floats(1e-10, 1e-6),
+        st.floats(2.0, 16.0),
+    )
+    @example(list(np.geomspace(1e8, 1e12, 40)), 17e-9, 4.0)
+    def test_rate_increases_with_frequency(self, frequencies, d_s, n):
+        d = DelaySpread(d_s)
         rates = [
-            mostly_digital_capacity(SamplingConfig(float(f), 4.0), d).rate
-            for f in np.geomspace(1e8, 1e12, 40)
+            mostly_digital_capacity(SamplingConfig(float(f), n), d).rate for f in frequencies
         ]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 

@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import uwbcap
 from uwbcap.cli import main
-from uwbcap.datasets import CHANNELS, ingest_csv, load_builtin
+from uwbcap.datasets import CHANNELS, TABLE_IDS, ingest_csv, load_builtin
 
 
 def run(capsys, *argv):
@@ -427,6 +429,8 @@ class TestValidateIsiCommand:
             ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--guard-multiples", "1,nan"),
             ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--guard-multiples=-1"),
             ("--delay-spread", "9ns", "--pulse-duration", "1ns", "--tap-spacing", "0ns"),
+            # a symbol period T_p + k * d_RMS past the largest float
+            ("--delay-spread", "7s", "--pulse-duration", "1s", "--guard-multiples", "2.6e307"),
             # tap powers past ~745 decay constants underflow to 0
             ("--delay-spread", "1ns", "--pulse-duration", "0.25ns", "--num-taps", "40000",
              "--deterministic"),
@@ -490,11 +494,70 @@ class TestValidateIsiCommand:
             "spill_min,spill_max,trials\n"
             "9e-09,9e-09,9e+299,1e+308,0,0,0,1\n",
         ),
+        # spreads near both ends of the range whose calibration squares stay normal
+        (
+            ("validate-isi", "--delay-spread", "1e-150s", "--pulse-duration", "1e-170s",
+             "--deterministic", "--guard-multiples", "1", "--format", "csv"),
+            "target_d_rms_s,realized_d_rms_s,symbol_period_s,guard_multiple,spill_fraction,"
+            "spill_min,spill_max,trials\n"
+            "1e-150,1e-150,1e-150,1,0.3588182457,0.3588182457,0.3588182457,1\n",
+        ),
+        (
+            ("validate-isi", "--delay-spread", "1e152s", "--pulse-duration", "1e-170s",
+             "--deterministic", "--guard-multiples", "1", "--format", "csv"),
+            "target_d_rms_s,realized_d_rms_s,symbol_period_s,guard_multiple,spill_fraction,"
+            "spill_min,spill_max,trials\n"
+            "1e+152,1e+152,1e+152,1,0.3588185125,0.3588185125,0.3588185125,1\n",
+        ),
     ],
-    ids=["sweep-geomspace", "validate-isi-tail"],
+    ids=["sweep-geomspace", "validate-isi-tail", "validate-isi-1e-150s", "validate-isi-1e152s"],
 )
 def test_near_float_range_runs_warn_nothing(capsys, argv, expected):
     assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_binary_sweep_ignores_an_snr_whose_shannon_factor_rounds_to_zero(capsys):
+    assert run(
+        capsys, "sweep", "--mode", "binary", "--param", "bandwidth", "--from", "1GHz",
+        "--to", "2GHz", "--points", "2", "--delay-spreads", "1ns", "--snr-db", "-200",
+        "--format", "csv",
+    ) == (0, "frequency_hz,rms_delay_spread_s,capacity_bit_s\n"
+             "1000000000,1e-09,500000000\n2000000000,1e-09,666666666.7\n", "")
+
+
+# each raised numpy warnings (1e153 s) or came out wrong: a subnormal d_RMS^2
+# missed the 1e-161 s target by 0.6%, and a Shannon factor of 0 was reported
+# as a zero capacity (exit 2)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("validate-isi", "--delay-spread", "1e-161s", "--pulse-duration", "1e-170s",
+          "--deterministic", "--guard-multiples", "1", "--format", "csv"),
+         "delay spread 1e-161 s is out of range: its square and that of the tap grid's "
+         "span, 1.5e-160 s, must lie in the normal float range"),
+        (("validate-isi", "--delay-spread", "1e153s", "--pulse-duration", "1ns",
+          "--deterministic"),
+         "delay spread 1e+153 s is out of range: its square and that of the tap grid's "
+         "span, 1.5e+154 s, must lie in the normal float range"),
+        (("capacity", "ideal", "--pulse-duration", "1ns", "--delay-spread", "5ns",
+          "--snr-linear", "1e-17"),
+         "SNR 1e-17 (-170 dB) is too small: its Shannon factor (1/2) log2(1 + SNR) "
+         "rounds to 0 bit/symbol"),
+        (("capacity", "ideal", "--pulse-duration", "1ns", "--delay-spread", "5ns",
+          "--snr-db", "-200"),
+         "SNR 1e-20 (-200 dB) is too small: its Shannon factor (1/2) log2(1 + SNR) "
+         "rounds to 0 bit/symbol"),
+        (("sweep", "--mode", "ideal", "--param", "bandwidth", "--from", "1GHz", "--to", "2GHz",
+          "--points", "2", "--delay-spreads", "1ns", "--snr-db", "-200"),
+         "SNR 1e-20 (-200 dB) is too small: its Shannon factor (1/2) log2(1 + SNR) "
+         "rounds to 0 bit/symbol"),
+    ],
+    ids=["validate-isi-1e-161s", "validate-isi-1e153s", "ideal-snr-linear", "ideal-snr-db",
+         "ideal-sweep-snr-db"],
+)
+def test_inputs_past_the_float_range_exit_three_naming_the_input(capsys, argv, message):
+    assert run(capsys, *argv) == (3, "", f"domain error: {message}\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -515,7 +578,7 @@ def test_sweep_grid_past_the_largest_float_names_the_range(capsys):
 
 
 # ---------------------------------------------------------------------------
-# generated capacity and sweep arguments
+# generated arguments of every command
 # ---------------------------------------------------------------------------
 
 _MAX_FLOAT = 1.7976931348623157e308
@@ -570,8 +633,90 @@ def _capacity_and_sweep_argv(draw):
     ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_capacity_and_sweep_argv())
+_snrs = st.just(()) | st.tuples(
+    st.just("--snr-db"), (st.floats(-400.0, 400.0) | st.sampled_from((-200.0, -160.0))).map(repr)
+) | st.tuples(
+    st.just("--snr-linear"),
+    (st.floats(min_value=5e-324, max_value=_MAX_FLOAT) | st.sampled_from((1e-17, 1e-16, 3.0)))
+    .map(repr),
+)
+
+
+@st.composite
+def _pulse_capacity_argv(draw):
+    model = draw(st.sampled_from(("ideal", "binary")))
+    if draw(st.booleans()):
+        pulse = ["--pulse-duration", draw(_spreads)]
+    else:
+        pulse = ["--bandwidth", f"{draw(_hertz)!r}{draw(_units)}"]
+    snr = draw(_snrs) if model == "ideal" else ()
+    fmt = ["--format", draw(st.sampled_from(("human", "csv", "json")))]
+    return ["capacity", model, *pulse, "--delay-spread", draw(_spreads), *snr, *fmt]
+
+
+@st.composite
+def _table_argv(draw):
+    check = ["--check"] if draw(st.booleans()) else []
+    fmt = ["--format", draw(st.sampled_from(("human", "csv", "json")))]
+    return ["table", draw(st.sampled_from(("iv", "vii"))), *check, *fmt]
+
+
+_DATASET_TABLES = {
+    name.replace("_", "-"): [field.name for field in fields(load_builtin(name)[0])]
+    for name in TABLE_IDS
+}
+_literals = st.sampled_from(
+    ("1GSPS", "17ns", "90GHz", "8", "2006", "1e400", "nan", "NLOS", "Kim et al.", "", "1 W")
+) | st.floats(allow_nan=False).map(repr)
+
+
+@st.composite
+def _datasets_argv(draw):
+    table = draw(st.sampled_from(sorted(_DATASET_TABLES)))
+    names = st.sampled_from(_DATASET_TABLES[table]) | st.sampled_from(("bandwidth", ""))
+    query = []
+    if draw(st.booleans()):
+        operator = draw(st.sampled_from(("<=", ">=", "==", "!=", "<", ">", "=", "~")))
+        query += ["--where", f"{draw(names)}{operator}{draw(_literals)}"]
+    for selector in ("--min", "--max"):
+        if draw(st.booleans()):
+            query += [selector, draw(names)]
+    fmt = ["--format", draw(st.sampled_from(("human", "csv", "json")))]
+    return ["datasets", "list", table, *query, *fmt]
+
+
+# channel-like times, and spreads around those whose calibration squares
+# leave the normal float range
+_nanoseconds = st.floats(1e-12, 1e-6).map("{!r}s".format)
+_oracle_spreads = _spreads | _nanoseconds | st.sampled_from(
+    (1e-161, 1.48e-154, 1.5e-154, 1e-150, 1e152, 1.19e153, 1e153)
+).map("{!r}s".format)
+
+
+@st.composite
+def _validate_isi_argv(draw):
+    spread = draw(_oracle_spreads)
+    grid = []
+    if draw(st.booleans()):
+        d = float(spread[:-1])
+        grid += ["--tap-spacing", f"{d / draw(st.sampled_from((5, 10, 40, 1000)))!r}s"]
+    if draw(st.booleans()):
+        grid += ["--num-taps", str(draw(st.integers(1, 5000)))]
+    guards = st.floats(0.0, 1e308) | st.sampled_from((1.0, math.nan))
+    mode = ["--deterministic"] if draw(st.booleans()) else []
+    fmt = ["--format", draw(st.sampled_from(("human", "csv", "json")))]
+    pulse = draw(_spreads | _nanoseconds)
+    return [
+        "validate-isi", "--delay-spread", spread, "--pulse-duration", pulse,
+        "--guard-multiples", ",".join(map(repr, draw(st.lists(guards, min_size=1, max_size=3)))),
+        "--trials", str(draw(st.integers(1, 4))),
+        "--seed", str(draw(st.integers(0, 2**32))), *grid, *mode, *fmt,
+    ]
+
+
+@settings(max_examples=1200, deadline=None)
+@given(_capacity_and_sweep_argv() | _pulse_capacity_argv() | _table_argv() | _datasets_argv()
+       | _validate_isi_argv())
 # (n/F + d)^2 underflows to 0 in the derivative
 @example(
     "sweep --mode mixed --param fcircuit --from 1e162Hz --to 2e162Hz --points 2 "
@@ -582,16 +727,30 @@ def _capacity_and_sweep_argv(draw):
     "sweep --mode mixed --param fcircuit --from 1Hz --to 1.7976931348623157e308Hz --points 2 "
     "--delay-spreads 1s --outputs capacity,derivative,percent --format json".split()
 )
-def test_generated_capacity_and_sweep_argv_never_print_nan_inf_or_crash(argv):
+# the oracle's calibration squares of 1e-161 s and 1e153 s leave the normal
+# float range
+@example("validate-isi --delay-spread 1e-161s --pulse-duration 1e-170s --deterministic "
+         "--guard-multiples 1 --format csv".split())
+@example("validate-isi --delay-spread 1e153s --pulse-duration 1ns --deterministic".split())
+# the Shannon factor of a tiny SNR rounds to 0
+@example("capacity ideal --pulse-duration 1ns --delay-spread 5ns --snr-linear 1e-17".split())
+def test_generated_argv_never_print_nan_inf_warn_or_crash(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in (0, 2, 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
     assert not _NON_FINITE.search(out.getvalue()), out.getvalue()
+    if code == 0:
+        checked = argv[0] == "table" and "--check" in argv
+        status = f"table {argv[1]}: all values match the printed fixture\n" if checked else ""
+        assert err.getvalue() == status
 
 
 # ---------------------------------------------------------------------------

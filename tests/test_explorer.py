@@ -79,6 +79,25 @@ class TestTableIv:
         problems = check_table_iv()
         assert len(problems) == 1 and "Residential LOS" in problems[0]
 
+    @pytest.mark.parametrize(
+        "entry, quantity",
+        [
+            # the reproduction runs at the fixture's F_s: a wrong one moves
+            # the capacity away from the printed value
+            (("Residential LOS", 17.0, 2.5, 4.0, 52.63157895), "capacity"),
+            (("Residential LOS", 17.0, 2.0, 2.0, 52.63157895), "capacity"),
+            (("Residential LOS", 18.0, 2.0, 4.0, 52.63157895), "d_RMS"),
+        ],
+        ids=["fs", "n", "d_rms"],
+    )
+    def test_check_reads_every_operating_point_from_the_fixture(
+        self, monkeypatch, entry, quantity
+    ):
+        monkeypatch.setattr("uwbcap.explorer.TABLE_IV_GOLDEN", (entry,) + TABLE_IV_GOLDEN[1:])
+        problems = check_table_iv()
+        assert len(problems) == 1
+        assert problems[0].startswith(f"Residential LOS at {entry[2]:g} GSPS: {quantity}")
+
     def test_deterministic_across_runs(self):
         assert reproduce_table_iv() == reproduce_table_iv()
 
@@ -121,6 +140,22 @@ class TestTableVii:
         monkeypatch.setattr("uwbcap.explorer.TABLE_VII_GOLDEN", tampered)
         problems = check_table_vii()
         assert len(problems) == 1 and "Kim et al." in problems[0]
+
+    def test_check_reads_each_generator_from_the_fixture(self, monkeypatch):
+        tampered = ((17.0, "Badalawa et al.", 2.63, 57.54, 115.07, 172.61),) + TABLE_VII_GOLDEN[1:]
+        monkeypatch.setattr("uwbcap.explorer.TABLE_VII_GOLDEN", tampered)
+        problems = check_table_vii()
+        # the 4.46 GHz generator: its bandwidth and all three capacities
+        assert len(problems) == 4
+        assert problems[0].startswith("Badalawa et al. at 17 ns: bandwidth (GHz) 4.464285714")
+
+    def test_check_compares_the_delay_spread(self, monkeypatch):
+        printed = (0.9, "Deparis et al.", 20.00, 1086.96, 2173.91, 3260.87)
+        tampered = TABLE_VII_GOLDEN[:-1] + (printed,)
+        monkeypatch.setattr("uwbcap.explorer.TABLE_VII_GOLDEN", tampered)
+        assert check_table_vii() == [
+            "Deparis et al. at 0.9 ns: d_RMS (ns) 0.87 vs printed 0.9 (relative error 0.0333)"
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from uwbcap import datasets, isi
 from uwbcap.errors import DomainError
@@ -65,6 +68,17 @@ class TestTappedDelayLine:
         assert float(power_cell) == 0.5
 
 
+@st.composite
+def _tap_profiles(draw):
+    """(delays, powers) of 2 to 6 taps: the first at 0, the others on a grid
+    of 1 ps to 1 ns steps, each power at least 1/50 of the largest, total 1."""
+    steps = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True))
+    delays = draw(st.floats(1e-12, 1e-9)) * np.array([0, *sorted(steps)], dtype=float)
+    weights = np.array(draw(st.lists(st.floats(0.02, 1.0), min_size=delays.size,
+                                     max_size=delays.size)))
+    return delays, weights / weights.sum()
+
+
 class TestRmsDelaySpread:
     def test_symmetric_two_path(self):
         line = TappedDelayLine.from_taps([(0.0, 0.5), (2e-9, 0.5)])
@@ -79,20 +93,27 @@ class TestRmsDelaySpread:
         line = TappedDelayLine.from_taps([(0.0, 0.5), (1e-9, 0.25), (3e-9, 0.25)])
         assert rel(rms_delay_spread(line), math.sqrt(1.5) * 1e-9) < 1e-9
 
-    def test_translation_invariance(self):
+    # shifts up to 10 times the last delay: the moment subtracts the squared
+    # mean from the second moment, so far larger ones cancel digits away
+    @given(_tap_profiles().flatmap(
+        lambda p: st.tuples(st.just(p), st.floats(0.0, 10.0 * p[0][-1]))
+    ))
+    @example(((np.array([0.0, 1e-9, 3e-9]), np.array([0.5, 0.25, 0.25])), 7e-9))
+    def test_translation_invariance(self, shifted_profile):
         # the moment itself must not depend on the time origin
-        delays = np.array([0.0, 1e-9, 3e-9])
-        powers = np.array([0.5, 0.25, 0.25])
+        (delays, powers), shift = shifted_profile
         base = rms_delay_spread(SimpleNamespace(delays=delays, powers=powers))
         shifted = rms_delay_spread(
-            SimpleNamespace(delays=delays + 7e-9, powers=powers)
+            SimpleNamespace(delays=delays + shift, powers=powers)
         )
         assert rel(shifted, base) < 1e-9
 
-    def test_scales_linearly_with_delays(self):
-        line = TappedDelayLine.from_taps([(0.0, 0.5), (1e-9, 0.25), (3e-9, 0.25)])
-        stretched = TappedDelayLine(line.delays * 4.0, line.powers)
-        assert rel(rms_delay_spread(stretched), 4.0 * rms_delay_spread(line)) < 1e-12
+    @given(_tap_profiles(), st.floats(1e-3, 1e3))
+    @example((np.array([0.0, 1e-9, 3e-9]), np.array([0.5, 0.25, 0.25])), 4.0)
+    def test_scales_linearly_with_delays(self, profile, factor):
+        line = TappedDelayLine(*profile)
+        stretched = TappedDelayLine(line.delays * factor, line.powers)
+        assert rel(rms_delay_spread(stretched), factor * rms_delay_spread(line)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +213,27 @@ class TestSynthesizeChannel:
             with pytest.raises(DomainError, match="tap_spacing .* too fine"):
                 validate_assumption(1e-9, 0.25e-9, tap_spacing=spacing, deterministic=True)
 
+    # 1e-161 s: d_RMS^2 is subnormal and the calibration missed the target
+    # by 0.6%; 1e153 s: the 15 d_RMS span squares to inf inside numpy
+    @pytest.mark.parametrize("d_rms", [1e-161, 1.48e-154, 1e153])
+    def test_spread_squaring_out_of_the_normal_range_is_rejected_before_the_grid(
+        self, monkeypatch, d_rms
+    ):
+        def calibrate(*args):
+            raise AssertionError("the tap grid was built")
+
+        monkeypatch.setattr(isi, "_calibrated_profile", calibrate)
+        message = re.escape(f"delay spread {d_rms!r} s is out of range")
+        with pytest.raises(DomainError, match=message):
+            synthesize_channel(d_rms, d_rms / 40.0, 600)
+        with pytest.raises(DomainError, match=message):
+            validate_assumption(d_rms, d_rms / 100.0, deterministic=True)
+
+    def test_spreads_squaring_inside_the_normal_range_calibrate(self):
+        for d_rms in (1.5e-154, 1e-150, 1e152):
+            channel = synthesize_channel(d_rms, d_rms / 40.0, 600)
+            assert rel(rms_delay_spread(channel), d_rms) < 1e-12
+
     def test_deterministic_mode_is_reproducible(self):
         a = synthesize_channel(9e-9, 0.5e-9, 400)
         b = synthesize_channel(9e-9, 0.5e-9, 400)
@@ -234,24 +276,40 @@ def geometric_spill(channel, pulse, period) -> float:
     return (full + straddling) / ((1 - r**n) / one_minus_r)
 
 
+def _pulse_and_periods(min_size, max_size):
+    """A pulse duration of 1 ps to 5 ns and a sorted list of symbol periods
+    from it to 100 ns."""
+    return st.floats(1e-12, 5e-9).flatmap(lambda pulse: st.tuples(
+        st.just(pulse),
+        st.lists(st.floats(pulse, 100e-9), min_size=min_size, max_size=max_size).map(sorted),
+    ))
+
+
 class TestIsiSpill:
     def test_point_channel_spills_nothing(self):
         line = TappedDelayLine.from_taps([(0.0, 1.0)])
         assert isi_spill(line, 1e-9, 1e-9) == 0.0
         assert isi_spill(line, 2e-9, 5e-9) == 0.0
 
-    def test_energy_conservation(self):
-        channel = synthesize_channel(9e-9, 0.5e-9, 400, rng_seed=3)
-        for symbol_period in (0.25e-9, 5e-9, 9.25e-9, 30e-9):
-            total = isi_spill(channel, 0.25e-9, symbol_period) + in_symbol_fraction(
-                channel, 0.25e-9, symbol_period
+    # each fraction is a 400-tap dot product: 2.6e-14 off 1 at worst over
+    # 5000 draws
+    @given(st.integers(0, 2**32 - 1), _pulse_and_periods(1, 4))
+    @example(3, (0.25e-9, [0.25e-9, 5e-9, 9.25e-9, 30e-9]))
+    def test_energy_conservation(self, seed, pulse_and_periods):
+        channel = synthesize_channel(9e-9, 0.5e-9, 400, rng_seed=seed)
+        pulse, periods = pulse_and_periods
+        for symbol_period in periods:
+            total = isi_spill(channel, pulse, symbol_period) + in_symbol_fraction(
+                channel, pulse, symbol_period
             )
             assert abs(total - 1.0) <= 1e-12
 
-    def test_monotone_nonincreasing_in_symbol_period(self):
-        channel = synthesize_channel(9e-9, 0.5e-9, 400)
-        periods = np.linspace(0.25e-9, 60e-9, 80)
-        spills = [isi_spill(channel, 0.25e-9, float(t)) for t in periods]
+    @given(st.none() | st.integers(0, 2**32 - 1), _pulse_and_periods(2, 20))
+    @example(None, (0.25e-9, list(np.linspace(0.25e-9, 60e-9, 80))))
+    def test_monotone_nonincreasing_in_symbol_period(self, seed, pulse_and_periods):
+        channel = synthesize_channel(9e-9, 0.5e-9, 400, rng_seed=seed)
+        pulse, periods = pulse_and_periods
+        spills = [isi_spill(channel, pulse, float(t)) for t in periods]
         assert all(a >= b for a, b in zip(spills, spills[1:]))
         assert all(0.0 <= s <= 1.0 for s in spills)
 
