@@ -234,10 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--trials", type=int, default=200)
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument(
-        "--deterministic", action="store_true", help="fading-free profile, single realization"
+        "--deterministic", action="store_true",
+        help="fading-free profile, single realization, in closed form",
     )
-    validate.add_argument("--tap-spacing", type=_quantity(TIME), metavar="QTY")
-    validate.add_argument("--num-taps", type=int)
+    validate.add_argument("--tap-spacing", type=_quantity(TIME), metavar="QTY",
+                          help="grid step (default: d_RMS / 40)")
+    validate.add_argument("--num-taps", type=int,
+                          help="grid length (default: 600, or ceil(15 d_RMS / tap spacing))")
     validate.set_defaults(handler=cmd_validate_isi)
 
     return parser
@@ -381,7 +384,7 @@ def cmd_datasets_list(args) -> int:
 
 
 def cmd_validate_isi(args) -> int:
-    from . import isi  # imports numpy, which no other command needs
+    from . import isi  # only this command uses the oracle
 
     reports = isi.validate_assumption(
         args.delay_spread,

@@ -61,8 +61,8 @@ class SweepSpec:
     "percent_of_max".  The derivative column is the binary-modulation
     sensitivity (it carries no M-ary multiplier) and is unavailable in
     ideal mode; percent_of_max requires nonzero delay spreads.  ``snr``
-    applies to ideal mode only and defaults to the binary working point,
-    a linear ratio of 3.
+    applies to ideal mode only (other modes reject it) and defaults to the
+    binary working point, a linear ratio of 3.
     """
 
     mode: str
@@ -102,6 +102,8 @@ class SweepSpec:
             raise ValueError("mostly_digital sweeps need at least one sampling factor")
         if self.mode != cap.MOSTLY_DIGITAL and self.sampling_factors:
             raise ValueError("sampling_factors apply to mostly_digital sweeps only")
+        if self.mode != cap.IDEAL and self.snr is not None:
+            raise ValueError("snr applies to ideal sweeps only")
         if not self.outputs or any(o not in OUTPUTS for o in self.outputs):
             raise ValueError(f"outputs must be a nonempty subset of {OUTPUTS}")
         if self.mode == "ideal" and "derivative" in self.outputs:

@@ -559,18 +559,36 @@ class TestMonotonicity:
         ]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
-    def test_rate_decreases_with_delay_spread(self):
-        s = SamplingConfig(5e9, 4.0)
-        rates = [
-            mostly_digital_capacity(s, DelaySpread(float(d))).rate
-            for d in np.geomspace(1e-10, 1e-6, 40)
-        ]
+    # spreads 1.16% or more apart, sampling factors 0.01 or more apart: each
+    # step moves n/F + d by far more than its rounding
+    @given(
+        st.builds(
+            lambda start, steps: [10.0**x for x in accumulate(steps, initial=start)],
+            st.floats(-10.0, -6.0),
+            st.lists(st.floats(0.005, 0.5), min_size=1, max_size=10),
+        ),
+        st.floats(1e8, 1e12),
+        st.floats(2.0, 16.0),
+    )
+    @example(list(np.geomspace(1e-10, 1e-6, 40)), 5e9, 4.0)
+    def test_rate_decreases_with_delay_spread(self, spreads, f, n):
+        s = SamplingConfig(f, n)
+        rates = [mostly_digital_capacity(s, DelaySpread(float(d))).rate for d in spreads]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
-    def test_rate_decreases_with_sampling_factor(self):
-        d = DelaySpread(17e-9)
+    @given(
+        st.builds(
+            lambda start, steps: list(accumulate(steps, initial=start)),
+            st.floats(2.0, 16.0),
+            st.lists(st.floats(0.01, 2.0), min_size=1, max_size=10),
+        ),
+        st.floats(1e8, 1e12),
+        st.floats(1e-10, 1e-6),
+    )
+    @example(list(np.linspace(2.0, 16.0, 20)), 5e9, 17e-9)
+    def test_rate_decreases_with_sampling_factor(self, factors, f, d_s):
+        d = DelaySpread(d_s)
         rates = [
-            mostly_digital_capacity(SamplingConfig(5e9, float(n)), d).rate
-            for n in np.linspace(2.0, 16.0, 20)
+            mostly_digital_capacity(SamplingConfig(f, float(n)), d).rate for n in factors
         ]
         assert all(a > b for a, b in zip(rates, rates[1:]))

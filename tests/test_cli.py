@@ -494,13 +494,15 @@ class TestValidateIsiCommand:
             "spill_min,spill_max,trials\n"
             "9e-09,9e-09,9e+299,1e+308,0,0,0,1\n",
         ),
-        # spreads near both ends of the range whose calibration squares stay normal
+        # spreads near both ends of the range whose calibration squares stay
+        # normal; both on the 600-tap default grid, so they spill alike (1e-150 s
+        # printed 0.3588182457 while its default grid rounded up to 601 taps)
         (
             ("validate-isi", "--delay-spread", "1e-150s", "--pulse-duration", "1e-170s",
              "--deterministic", "--guard-multiples", "1", "--format", "csv"),
             "target_d_rms_s,realized_d_rms_s,symbol_period_s,guard_multiple,spill_fraction,"
             "spill_min,spill_max,trials\n"
-            "1e-150,1e-150,1e-150,1,0.3588182457,0.3588182457,0.3588182457,1\n",
+            "1e-150,1e-150,1e-150,1,0.3588185125,0.3588185125,0.3588185125,1\n",
         ),
         (
             ("validate-isi", "--delay-spread", "1e152s", "--pulse-duration", "1e-170s",
@@ -516,13 +518,23 @@ def test_near_float_range_runs_warn_nothing(capsys, argv, expected):
     assert run(capsys, *argv) == (0, expected, "")
 
 
-def test_binary_sweep_ignores_an_snr_whose_shannon_factor_rounds_to_zero(capsys):
+# the SNR enters ideal mode only; the other modes printed their SNR-3 curve
+# whatever it was, even one whose Shannon factor rounds to 0
+@pytest.mark.parametrize(
+    "axis",
+    [
+        ("--mode", "binary", "--param", "bandwidth", "--from", "1GHz", "--to", "2GHz"),
+        ("--mode", "digital", "--param", "fs", "--from", "1GSPS", "--to", "2GSPS",
+         "--nsampling", "4"),
+        ("--mode", "mixed", "--param", "fcircuit", "--from", "1GHz", "--to", "2GHz"),
+    ],
+    ids=["binary", "digital", "mixed"],
+)
+def test_sweep_rejects_an_snr_outside_ideal_mode(capsys, axis):
     assert run(
-        capsys, "sweep", "--mode", "binary", "--param", "bandwidth", "--from", "1GHz",
-        "--to", "2GHz", "--points", "2", "--delay-spreads", "1ns", "--snr-db", "-200",
+        capsys, "sweep", *axis, "--points", "2", "--delay-spreads", "1ns", "--snr-db", "-200",
         "--format", "csv",
-    ) == (0, "frequency_hz,rms_delay_spread_s,capacity_bit_s\n"
-             "1000000000,1e-09,500000000\n2000000000,1e-09,666666666.7\n", "")
+    ) == (2, "", "error: snr applies to ideal sweeps only\n")
 
 
 # each raised numpy warnings (1e153 s) or came out wrong: a subnormal d_RMS^2

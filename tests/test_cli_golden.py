@@ -227,9 +227,10 @@ GOLDEN = {
     'capacity binary --bandwidth 1GHz --delay-spread 0s --format csv': (0, '761dacdd2a4a35343d8ecb0b76872fb3a8da810bb74a5d64260ef51bb982d75b'),
     'capacity ideal --bandwidth 1GHz --delay-spread 17ns --snr-db 1 --format csv': (0, 'd9a9080f40d9200d2d51d225560eb8ed51c82fede60540df1ad56f73ffd9b670'),
     # the two validate-isi digests were re-captured when the profile
-    # calibration began to hit its target d_RMS to the last bits
+    # calibration began to hit its target d_RMS to the last bits, and the
+    # 1 ns one again when its default grid went from 601 taps to 600
     'validate-isi --delay-spread 9ns --pulse-duration 0.25ns --deterministic --format csv': (0, '359e5e96cf837a258f1f65b9e612316d699ccd28b1eb69f2bdd8d3cc3eee2008'),
-    'validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic --format csv': (0, '361a333f0fc13f2f92ca7cb8de430f1250c343738f2e474ce149108c95564699'),
+    'validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic --format csv': (0, 'e16f2867c79e5f1ddef2c42e5ad61dae8cd93b847373d572db3d85dd166d7c5e'),
     # capacity and validate-isi as human and JSON, and an empty datasets
     # selection, recorded before the CLI's output dispatch was merged
     'datasets list channels --where rms_delay_spread>1s --format human': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -247,10 +248,13 @@ GOLDEN = {
     'capacity binary --bandwidth 1GHz --delay-spread 0s --format json': (0, 'd84978ee6e43a82af7ad092c11d7e47abc7fc216da714510bea1bb1ba947f005'),
     'capacity ideal --bandwidth 1GHz --delay-spread 17ns --snr-db 1 --format human': (0, 'c74ffce427190bd81ed575177e56cabdccd05b9e88f3370a188786dac6eba292'),
     'capacity ideal --bandwidth 1GHz --delay-spread 17ns --snr-db 1 --format json': (0, '3871b07dce50dd023fb76cf2c3296b7d4fae30456f75bc464449c556c6a824f4'),
+    # the JSON digests of validate-isi (full precision) were re-captured when
+    # the fading-free oracle became closed-form, the 1 ns human one when its
+    # default grid went from 601 taps to 600
     'validate-isi --delay-spread 9ns --pulse-duration 0.25ns --deterministic --format human': (0, '07d78f5df44b35c52c4ccf7a2959a4484aac57bd8eef6b8d5aa6bdf97e584eeb'),
-    'validate-isi --delay-spread 9ns --pulse-duration 0.25ns --deterministic --format json': (0, '87468e98e27f724a9c9824cab7ebc86e9c895d5a8b944c10b55744cbc246c6b3'),
-    'validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic --format human': (0, '02c8c61c74a29e3f3df5efd31ef98d5d30b033cf15e138551ec2552cbc1489fb'),
-    'validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic --format json': (0, 'a44ac16884fc7bf6684f6b78a356e6d9540348e781317fc7cb4f12afe2230b44'),
+    'validate-isi --delay-spread 9ns --pulse-duration 0.25ns --deterministic --format json': (0, 'f3a2b8cb1d84ca68bc2c40089f91ad092abf46543fd8ab70ca854adbffe094a0'),
+    'validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic --format human': (0, '185265f1acb6e9df40206fbc6f2de6d565143168e7437a2f70164a057f9c88c8'),
+    'validate-isi --delay-spread 1ns --pulse-duration 0.5ns --guard-multiples 0,1,2 --deterministic --format json': (0, '1a38add650feb47041eb3cae18bf57d1396e25107b4d419b42f4883ae7f13c47'),
 }
 
 

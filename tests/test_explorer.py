@@ -234,6 +234,10 @@ class TestSweepSpecValidation:
                 sampling_factors=(4.0,),
             )
 
+    def test_snr_applies_to_ideal_sweeps_only(self):
+        with pytest.raises(ValueError, match="snr applies to ideal sweeps only"):
+            digital_spec(snr=cap.SnrValue(3.0))
+
     def test_output_rules(self):
         with pytest.raises(ValueError, match="outputs"):
             digital_spec(outputs=())

@@ -141,7 +141,7 @@ class TestSynthesizeChannel:
         "d_rms, spacing, taps",
         [
             *(
-                (d, d / 40.0, int(math.ceil(15.0 * d / (d / 40.0))))
+                (d, d / 40.0, 600)
                 for d in sorted(
                     {e.rms_delay_spread for e in datasets.load_builtin(datasets.CHANNELS)}
                     | {e.rms_delay_spread for e in datasets.load_builtin(datasets.ANTENNA_CONFIGS)}
@@ -152,7 +152,8 @@ class TestSynthesizeChannel:
         ],
     )
     def test_calibration_hits_target(self, d_rms, spacing, taps):
-        # the default grid for every survey d_RMS, plus two explicit grids
+        # the default grid (600 taps of d_RMS / 40) for every survey d_RMS,
+        # plus two explicit grids
         realized = rms_delay_spread(synthesize_channel(d_rms, spacing, taps))
         assert rel(realized, d_rms) <= 1e-12
 
@@ -401,10 +402,23 @@ class TestValidateAssumption:
         channel = synthesize_channel(9e-9, 0.09e-9, 1500)
         for report, k in zip(reports, (1, 3)):
             assert report.trials == 1
-            assert report.spill_fraction == isi_spill(
-                channel, 0.25e-9, 0.25e-9 + k * 9e-9
-            )
+            # the closed form and the array sum in different orders
+            spill = isi_spill(channel, 0.25e-9, 0.25e-9 + k * 9e-9)
+            assert rel(report.spill_fraction, spill) <= 1e-12
             assert report.spill_min == report.spill_max == report.spill_fraction
+
+    def test_deterministic_spill_is_scale_invariant(self):
+        # the default grid scales with d_RMS, so with the pulse scaled too
+        # every spill is the same number
+        guards = (0, 1, 2, 3, 5)
+        spills = [
+            [r.spill_fraction for r in validate_assumption(
+                d_rms, d_rms / 4.0, guard_multiples=guards, deterministic=True)]
+            for d_rms in (9e-9, 1e-9, 17e-9, 21e-9)
+        ]
+        for other in spills[1:]:
+            for spill, reference in zip(other, spills[0]):
+                assert rel(spill, reference) <= 1e-12
 
     def test_report_serializes(self):
         import json
@@ -476,6 +490,8 @@ def _per_trial_reference(
     """``validate_assumption`` as one synthesized channel per trial."""
     if tap_spacing is None:
         tap_spacing = target_d_rms / 40.0
+        if num_taps is None:
+            num_taps = 600
     if num_taps is None:
         num_taps = int(math.ceil(15.0 * target_d_rms / tap_spacing))
     if deterministic:
@@ -505,8 +521,19 @@ def _per_trial_reference(
     return reports
 
 
+def _assert_close_reports(actual, expected):
+    """Equal reports, but realized spread and spills within 1e-12 relative."""
+    assert len(actual) == len(expected)
+    for mine, theirs in zip(actual, expected):
+        mine, theirs = mine.to_dict(), theirs.to_dict()
+        assert mine.keys() == theirs.keys()
+        for key, value in theirs.items():
+            assert abs(mine[key] - value) <= 1e-12 * abs(value), key
+
+
 class TestBatchedParity:
-    """The one-pass trial loop equals the per-channel algorithm exactly."""
+    """The one-pass trial loop equals the per-channel algorithm exactly; the
+    closed-form fading-free oracle equals it within 1e-12 relative."""
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 101, 2**40 + 3])
     def test_default_grid(self, seed):
@@ -540,9 +567,29 @@ class TestBatchedParity:
         kwargs = dict(
             guard_multiples=(0, 1, 2, 5), deterministic=True, tap_spacing=spacing, num_taps=taps
         )
-        assert validate_assumption(d_rms, pulse, **kwargs) == _per_trial_reference(
-            d_rms, pulse, **kwargs
-        )
+        _assert_close_reports(validate_assumption(d_rms, pulse, **kwargs),
+                              _per_trial_reference(d_rms, pulse, **kwargs))
+
+    # grids of 10 to 400 taps per d_RMS over 10.5 to 40 d_RMS (None: the
+    # default grid), pulses of 1e-4 to 5 d_RMS, guard multiples up to 8
+    @given(
+        st.floats(1e-11, 1e-6),
+        st.none() | st.tuples(st.integers(10, 400), st.floats(10.5, 40.0)),
+        st.floats(1e-4, 5.0),
+        st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4),
+    )
+    # a tap exactly on the period: 4e-9 + 1e-30 == 4e-9 puts tap 160 before it
+    @example(1e-9, None, 1e-21, [4.0])
+    # a symbol period of 9e299 s: period / step overflows to inf
+    @example(9e-9, None, 0.25e-9 / 9e-9, [1e308])
+    def test_deterministic_matches_the_summed_arrays(self, d_rms, grid, pulse_share, guards):
+        spacing, taps = (None, None) if grid is None else (d_rms / grid[0], int(grid[0] * grid[1]))
+        reports = validate_assumption(d_rms, d_rms * pulse_share, guards, deterministic=True,
+                                      tap_spacing=spacing, num_taps=taps)
+        _assert_close_reports(reports, _per_trial_reference(
+            d_rms, d_rms * pulse_share, guards, deterministic=True,
+            tap_spacing=spacing, num_taps=taps))
+        assert all(math.copysign(1.0, r.spill_fraction) == 1.0 for r in reports)
 
     def test_single_trial(self):
         kwargs = dict(guard_multiples=(1,), trials=1, rng_seed=5)
@@ -603,9 +650,12 @@ print('numpy' in sys.modules, 'scipy' in sys.modules)
         ),
         (("validate-isi", "--delay-spread", "1ns", "--pulse-duration", "0.25ns",
           "--trials", "2"), True),
+        # the fading-free oracle is closed-form scalar arithmetic
+        (("validate-isi", "--delay-spread", "1ns", "--pulse-duration", "0.25ns",
+          "--deterministic", "--format", "json"), False),
     ],
     ids=["import", "capacity-digital", "capacity-ideal", "table-iv", "table-vii",
-         "datasets-list", "sweep", "validate-isi"],
+         "datasets-list", "sweep", "validate-isi", "validate-isi-deterministic"],
 )
 def test_only_array_commands_load_numpy(argv, numpy_loaded):
     # scipy is never imported
