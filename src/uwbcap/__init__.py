@@ -11,7 +11,7 @@ its module the first time it is used (PEP 562), so scalar capacity use
 never loads the surveys, the sweep engine or numpy.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -47,11 +47,17 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted(_MODULE_OF)
 
 
+def _submodule(name):
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name):
     if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
+        return _submodule(name)
     if name in _MODULE_OF:
-        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        return getattr(_submodule(_MODULE_OF[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

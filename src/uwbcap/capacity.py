@@ -549,8 +549,9 @@ def capacity_grid(
     equals, bit for bit, the scalar result at ``delay_spreads[i]``,
     ``sampling_factors[j]`` (mostly_digital only; other modes have one slot)
     and ``frequencies[k]``.  Ideal and binary grids take the mixed
-    parameterization for the last two outputs.  ``snr`` (ideal, default
-    linear 3) and ``modulation`` (mostly_digital, mixed) set the multiplier.
+    parameterization for the last two outputs.  ``snr`` (ideal only, default
+    linear 3; other modes raise ValueError if given one) and ``modulation``
+    (mostly_digital, mixed) set the multiplier.
 
     Raises what the scalar calls raise at the first point, in (d, n, F)
     order, that they reject: the points a vectorised screen flags (F not
@@ -567,11 +568,13 @@ def capacity_grid(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if any(o not in OUTPUTS for o in outputs):
         raise ValueError(f"outputs must be a subset of {OUTPUTS}")
+    if mode != IDEAL and snr is not None:
+        raise ValueError("snr applies to ideal sweeps only")
     digital = mode == MOSTLY_DIGITAL
     if snr is None:
         snr = SnrValue(BINARY_SNR_LINEAR)
     multiplier = {BINARY: 1.0}.get(mode, modulation.multiplier)
-    if mode == IDEAL:  # other modes ignore the SNR, even one whose factor rounds to 0
+    if mode == IDEAL:
         multiplier = _half_log_factor(snr)
     factors = tuple(sampling_factors) if digital else (None,)
 

@@ -11,10 +11,13 @@ Every capacity emitted here is a direct call into :mod:`uwbcap.capacity`
 columnar ``SweepTable``); this module adds grids and bookkeeping, never
 arithmetic.  Machine output is serialized at 10 significant digits, the
 precision the reference tables are printed at, by one column formatter
-shared by CSV, JSON and the human-readable table: it formats a sweep's
-repeating columns once per distinct value and its other columns chunk by
-chunk, derives JSON tokens from the 10-digit text, and fills one ``%``
-template per chunk of rows.
+shared by CSV, JSON and the human-readable table.  It formats the grid,
+d_RMS and n columns, which ``run_sweep`` keeps as distinct levels plus
+row codes, once per level; other float columns go chunk by chunk, as
+floats into a ``%.10g`` field wherever that text is the cell (always in
+CSV, in JSON where ``_plain`` says so), else through a formatter that
+derives JSON tokens from the 10-digit text.  Each chunk of rows is one
+``%`` template fill.
 """
 
 import dataclasses
@@ -143,13 +146,18 @@ class SweepTable(Sequence):
     """Columnar result of ``run_sweep``.
 
     ``columns`` maps the ``SweepPoint`` fields the sweep produced, in field
-    order, to equal-length 1-D float arrays, one entry per row.  The table
-    still behaves as a sequence of rows: ``len``, indexing and iteration
-    give ``SweepPoint`` values (unproduced fields None).
+    order, to equal-length 1-D float arrays, one entry per row.  Built from
+    such arrays or ``(levels, codes)`` pairs (distinct values, integer row
+    codes), which ``levels`` keeps so emission formats each level once.
+    ``len``, indexing and iteration give ``SweepPoint`` rows (unproduced
+    fields None).
     """
 
     def __init__(self, columns: dict):
-        self.columns = columns
+        self.levels = {name: pair for name, pair in columns.items() if isinstance(pair, tuple)}
+        self.columns = {
+            name: c[0][c[1]] if name in self.levels else c for name, c in columns.items()
+        }
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
@@ -194,18 +202,18 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         spec.modulation, spec.snr, spec.outputs,
     )
     shape = (len(spec.delay_spreads), max(len(spec.sampling_factors), 1), len(grid))
-    delays = np.array([d.value for d in spec.delay_spreads])
+    # each row's index along the d, n and F axes, into that axis's values
+    d_codes, n_codes, f_codes = np.indices(shape, dtype=np.int32).reshape(3, -1)
     columns = {
-        "frequency_hz": np.broadcast_to(grid, shape),
-        "rms_delay_spread_s": np.broadcast_to(delays[:, None, None], shape),
+        "frequency_hz": (grid, f_codes),
+        "rms_delay_spread_s": (np.array([d.value for d in spec.delay_spreads]), d_codes),
     }
     if spec.sampling_factors:
-        factors = np.array(spec.sampling_factors, dtype=float)
-        columns["sampling_factor"] = np.broadcast_to(factors[None, :, None], shape)
+        columns["sampling_factor"] = (np.array(spec.sampling_factors, dtype=float), n_codes)
     for output, field in _OUTPUT_FIELDS.items():
         if output in values:
-            columns[field] = values[output]
-    return SweepTable({name: column.ravel() for name, column in columns.items()})
+            columns[field] = values[output].ravel()
+    return SweepTable(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +484,15 @@ def rows_to_dicts(rows) -> list:
     ]
 
 
-def _columns(rows) -> dict:
-    """Column name -> values; the first row's fields name the columns."""
+def _columns(rows):
+    """Column name -> values, and column name -> (levels, codes) for the
+    columns a ``SweepTable`` keeps as levels; the first row's fields name
+    a row list's columns."""
     if isinstance(rows, SweepTable):
-        return rows.columns
+        return rows.columns, rows.levels
     dicts = rows_to_dicts(rows)
     names = list(dicts[0]) if dicts else []
-    return {name: [row.get(name) for row in dicts] for name in names}
+    return {name: [row.get(name) for row in dicts] for name in names}, {}
 
 
 #: The float rule of every format: 10 significant digits.
@@ -519,18 +529,10 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
-def _positional(text: str) -> str:
-    """A ``%.10g`` text of exponent 10-15 spelled out, as ``repr`` does."""
-    mantissa, exponent = text.split("e")
-    sign = "-" if mantissa[0] == "-" else ""
-    digits = mantissa.lstrip("-").replace(".", "")
-    return sign + digits.ljust(int(exponent) + 1, "0") + ".0"
-
-
 def _json_floats(values) -> list:
     """``repr`` of each value's 10-digit rounding, read off its ``%.10g``
-    text without parsing it back: ``.0`` after an integer, exponents 10-15
-    spelled out.  An array holding a NaN, an inf, a subnormal or a
+    text: ``.0`` after an integer, exponents 10-15 spelled out as ``repr``
+    spells them.  An array holding a NaN, an inf, a subnormal or a
     magnitude from 1e308 takes ``_json_cell`` instead."""
     import numpy as np
 
@@ -539,31 +541,43 @@ def _json_floats(values) -> list:
         return list(map(_json_cell, values.tolist()))
     return [
         text + ".0" if "." not in text and "e" not in text
-        else _positional(text) if "e+1" in text and text[-4] == "e" and text[-1] < "6"
+        else repr(float(text)) if "e+1" in text and text[-4] == "e" and text[-1] < "6"
         else text
         for text in _human_floats(values)
     ]
 
 
-def _column(values, cell, floats, raw=None):
+def _plain(values) -> bool:
+    """Whether each JSON token of a float array is its ``%.10g`` text: every
+    value normal, under 999999999.5 in magnitude and farther than 1e-9 of it
+    from a nonzero integer (whose text JSON ends in ``.0``).  It may call a
+    plain array non-plain, never the reverse."""
+    import numpy as np
+
+    magnitude = np.abs(values)
+    if not ((magnitude >= sys.float_info.min) & (magnitude < 999999999.5)).all():
+        return False  # before the subtraction below, which warns on inf
+    return bool((np.abs(values - np.rint(values)) > 1e-9 * magnitude).all())
+
+
+def _column(values, levels, cell, floats, plain=None):
     """One column's ``%`` field and its cells, ``_CHUNK_ROWS`` rows at a
-    time: a list (row values) cell by cell; a float array through
-    ``floats``, once per distinct value (bit pattern) if any value repeats,
-    as in the grid, d_RMS and n columns, else chunk slice by chunk slice,
-    given as floats to a ``raw`` field if there is one."""
+    time: a list (row values) cell by cell; a column kept as ``levels``
+    (distinct values, row codes) through ``floats`` once per level, the
+    text gathered by code; any other float array chunk slice by chunk
+    slice, through ``floats``, or, where ``plain(values)`` says the cells
+    are their ``%.10g`` text, as floats into a ``%.10g`` field."""
     starts = range(0, len(values), _CHUNK_ROWS)
     if isinstance(values, list):
         return "%s", ([cell(v) for v in values[i : i + _CHUNK_ROWS]] for i in starts)
-    import numpy as np
+    if levels:
+        import numpy as np
 
-    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
-    if not np.diff(np.sort(bits)).all():  # a value repeats
-        distinct, index = np.unique(bits, return_inverse=True)
-        text = np.array(floats(distinct.view(np.float64)), dtype=object)
-        return "%s", (text[index[i : i + _CHUNK_ROWS]].tolist() for i in starts)
-    values = bits.view(np.float64)
-    if raw:
-        return raw, (values[i : i + _CHUNK_ROWS].tolist() for i in starts)
+        distinct, codes = levels
+        text = np.array(floats(distinct), dtype=object)
+        return "%s", (text[codes[i : i + _CHUNK_ROWS]].tolist() for i in starts)
+    if plain and plain(values):
+        return _TEN_DIGIT_FIELD, (values[i : i + _CHUNK_ROWS].tolist() for i in starts)
     return "%s", (floats(values[i : i + _CHUNK_ROWS]) for i in starts)
 
 
@@ -581,12 +595,13 @@ def emit_csv(rows, stream) -> None:
     """Write a ``SweepTable`` or a list of rows as CSV: header plus one line
     per row, floats at 10 significant digits, SI units annotated in the
     column names.  An empty row list writes nothing."""
-    columns = _columns(rows)
+    columns, levels = _columns(rows)
     if not columns:
         return
     stream.write(",".join(_csv_cell(name) for name in columns) + "\n")
     fields, chunks = zip(*(
-        _column(values, _csv_cell, _human_floats, _TEN_DIGIT_FIELD) for values in columns.values()
+        _column(values, levels.get(name), _csv_cell, _human_floats, lambda values: True)
+        for name, values in columns.items()
     ))
     _write_rows(stream, ",".join(fields) + "\n", "", chunks)
 
@@ -595,18 +610,24 @@ def emit_json(rows, stream) -> None:
     """Write a ``SweepTable`` or a list of rows as a JSON array of objects
     with unit-annotated names, floats rounded to 10 significant digits
     (those that would round past the largest float at full precision),
-    laid out as ``json.dump(..., indent=2)`` lays it out.  A float array's
-    tokens are read off their 10-digit text (``_json_floats``)."""
-    columns = _columns(rows)
+    laid out as ``json.dump(..., indent=2)`` lays it out.  A float array
+    whose tokens are its ``%.10g`` text (``_plain``) fills a ``%.10g``
+    field, as in CSV; the tokens of any other, and of levels, are read off
+    their 10-digit text (``_json_floats``)."""
+    columns, levels = _columns(rows)
     if not columns:
         stream.write("[]\n")
         return
-    fields = ",\n".join(
-        f"    {json.dumps(name).replace('%', '%%')}: %s" for name in columns
+    fields, chunks = zip(*(
+        _column(values, levels.get(name), _json_cell, _json_floats, _plain)
+        for name, values in columns.items()
+    ))
+    row = ",\n".join(
+        f"    {json.dumps(name).replace('%', '%%')}: {field}"
+        for name, field in zip(columns, fields)
     )
     stream.write("[\n")
-    chunks = [_column(values, _json_cell, _json_floats)[1] for values in columns.values()]
-    _write_rows(stream, "  {\n" + fields + "\n  }", ",\n", chunks)
+    _write_rows(stream, "  {\n" + row + "\n  }", ",\n", chunks)
     stream.write("\n]\n")
 
 
@@ -614,21 +635,29 @@ def emit_human(rows, stream) -> None:
     """Write a ``SweepTable`` or a list of rows as an aligned text table:
     ``human_cell`` text, each column padded to its widest cell (header
     included), two spaces between columns, trailing blanks stripped.  An
-    empty row list writes nothing."""
-    columns = _columns(rows)
+    empty row list writes nothing.  The cells are formatted twice, chunk
+    by chunk: once for the widths, once to write them."""
+    columns, levels = _columns(rows)
     if not columns:
         return
-    cells = [[*chain.from_iterable(_column(values, human_cell, _human_floats)[1])]
-             for values in columns.values()]
-    template = "  ".join(
-        f"%-{max(len(name), *map(len, column))}s" for name, column in zip(columns, cells)
-    )
+
+    def chunks():
+        return zip(*(
+            _column(values, levels.get(name), human_cell, _human_floats)[1]
+            for name, values in columns.items()
+        ))
+
+    widths = list(map(len, columns))
+    for cells in chunks():
+        widths = [max(width, *map(len, column)) for width, column in zip(widths, cells)]
+    template = "  ".join(f"%-{width}s" for width in widths)
 
     def line(row) -> str:
         return (template % row).rstrip() + "\n"
 
     stream.write(line(tuple(columns)))
-    stream.writelines(map(line, zip(*cells)))
+    for cells in chunks():
+        stream.writelines(map(line, zip(*cells)))
 
 
 def emit_csv_string(rows) -> str:

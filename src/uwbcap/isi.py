@@ -397,7 +397,9 @@ def in_symbol_fraction(
     import numpy as np
 
     _check_pulse(pulse_duration, symbol_period)
-    head = np.clip((symbol_period - channel.delays) / pulse_duration, 0.0, 1.0)
+    # as in _tail: a quotient past the float range clips to the right share
+    with np.errstate(over="ignore"):
+        head = np.clip((symbol_period - channel.delays) / pulse_duration, 0.0, 1.0)
     return float(np.dot(channel.powers, head))
 
 

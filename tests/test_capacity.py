@@ -454,13 +454,25 @@ class TestPercentOfMax:
         assert percent_of_max(MOSTLY_DIGITAL, 4.0 / d, DelaySpread(d), 4.0) == 0.5
         assert rel(percent_of_max(MOSTLY_DIGITAL, 4.0 / 17e-9, DelaySpread(17e-9), 4.0), 0.5) < 1e-12
 
-    def test_strictly_increasing_and_below_one(self):
-        d = DelaySpread(9e-9)
-        previous = 0.0
-        for f in np.geomspace(1e8, 1e13, 50):
-            fraction = percent_of_max(MIXED, float(f), d)
-            assert previous < fraction < 1.0
-            previous = fraction
+    # frequencies 1.16% or more apart and F d / n at most 1e9: each step
+    # moves the fraction by far more than its rounding, and it stays below 1
+    @given(
+        st.builds(
+            lambda start, steps: [10.0**x for x in accumulate(steps, initial=start)],
+            st.floats(6.0, 10.0),
+            st.lists(st.floats(0.005, 0.5), min_size=1, max_size=10),
+        ),
+        st.floats(1e-10, 1e-6),
+        st.none() | st.floats(2.0, 16.0),
+    )
+    @example(list(np.geomspace(1e8, 1e13, 50)), 9e-9, None)
+    def test_strictly_increasing_and_below_one(self, frequencies, d_s, n):
+        mode = MIXED if n is None else MOSTLY_DIGITAL
+        d = DelaySpread(d_s)
+        fractions = [percent_of_max(mode, float(f), d, n) for f in frequencies]
+        assert 0.0 < fractions[0]
+        assert all(a < b for a, b in zip(fractions, fractions[1:]))
+        assert fractions[-1] < 1.0
 
     def test_zero_spread_is_a_domain_error(self):
         with pytest.raises(DomainError):

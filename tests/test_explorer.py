@@ -506,6 +506,39 @@ class TestTokenRule:
         assert explorer._human_floats(np.array([value])) == ["{:.10g}".format(value)]
 
 
+# values near a nonzero integer, on both sides of the 1e-9 relative margin
+# and of the half-unit-in-the-tenth-digit rounding step
+_near_integers = st.builds(
+    lambda k, e: k * (1.0 + e), st.integers(-(10**10), 10**10), st.floats(-3e-9, 3e-9)
+)
+
+
+class TestPlainColumns:
+    """A float array ``_plain`` passes writes each JSON token as its
+    ``%.10g`` text."""
+
+    @pytest.mark.filterwarnings("error")
+    @given(st.floats() | _near_integers)
+    @example(0.99999999996)
+    @example(999999999.5)
+    @example(9.99999999995e-5)
+    @example(123456789.04)
+    @example(5e-324)
+    @example(-0.0)
+    @example(math.inf)
+    @example(math.nan)
+    def test_plain_values_are_their_ten_digit_text(self, value):
+        if explorer._plain(np.array([value])):
+            assert "%.10g" % value == json.dumps(float("{:.10g}".format(value)))
+        assert explorer._plain(np.array([value, 0.5])) == explorer._plain(np.array([value]))
+
+    def test_examples_on_both_sides(self):
+        assert explorer._plain(np.array([0.5, -1e-5, 123456789.4, 2.2250738585072014e-308]))
+        for value in (0.99999999996, 999999999.5, 123456789.04, 5e-324, -0.0, 0.0, 3.0,
+                      math.inf, math.nan):
+            assert not explorer._plain(np.array([0.5, value]))
+
+
 def stdlib_csv(dicts) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(dicts[0]), lineterminator="\n")
@@ -586,8 +619,13 @@ class TestColumnarEmission:
             "capacity_bit_s": np.array(
                 [1 / 3, 2e10, -123456789012.0, 1e15, 1.5e16, 1234567890.0, 0.0, -0.0]
             ),
+            # JSON fills a %.10g field with these, as CSV does
+            "derivative_bit_s_per_hz": np.array(
+                [0.5, -1e-5, 3.3e-300, 123.456, -99999999.4, 1 / 3, 2.5e-7, 0.99999999]
+            ),
             "percent_of_max": np.array([0.5, 1e-5, 99.99999999, 12.0, 1e-300, 7e22, 1e9, -3.0]),
         })
+        assert explorer._plain(table.columns["derivative_bit_s_per_hz"])
         dicts = rows_to_dicts(table)
         assert self.emitted(table) == (stdlib_csv(dicts), stdlib_json(dicts))
         assert self.human(table) == stdlib_human(table)
@@ -640,3 +678,23 @@ class TestColumnarEmission:
             ),
         })
         assert self.human(table) == stdlib_human(table)
+
+
+def test_human_table_holds_one_chunk_of_cells():
+    import os
+    import tracemalloc
+
+    # a 20k-row sweep: the human table once held every cell to size its
+    # columns, 3.4 times the CSV peak at 60k rows
+    table = run_sweep(digital_spec(points=5000, delay_spreads=(spread(9), spread(17))))
+    assert len(table) == 20000
+    peaks = {}
+    with open(os.devnull, "w") as sink:
+        for emit in (emit_csv, emit_human):
+            tracemalloc.start()
+            try:
+                emit(table, sink)
+                peaks[emit] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[emit_human] <= 2 * peaks[emit_csv]

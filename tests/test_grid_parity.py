@@ -4,14 +4,21 @@
 grid in one numpy broadcast.  The reference here is the point-by-point
 loop over the public scalar functions: every value must be equal (``==``),
 and every rejected grid must raise the same exception type and message.
+A sweep's columns kept as levels must also write the bytes that the same
+columns as plain arrays write.
 """
 
+import io
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uwbcap.capacity as cap
-from uwbcap.explorer import SweepPoint, SweepSpec, SweepTable, rows_to_dicts, run_sweep
+from uwbcap.explorer import (
+    SweepPoint, SweepSpec, SweepTable, emit_csv, emit_human, emit_json, rows_to_dicts, run_sweep,
+)
 
 _PARAMETER = {
     cap.IDEAL: "bandwidth",
@@ -22,7 +29,11 @@ _PARAMETER = {
 
 
 def scalar_rows(mode, frequencies, delay_spreads, sampling_factors, modulation, snr, outputs):
-    """One dict per (d, n, f) point, in that nesting order, from scalar calls."""
+    """One dict per (d, n, f) point, in that nesting order, from scalar calls.
+    Only the ideal model takes an SNR; the other modes' scalar functions
+    have no SNR argument, so an SNR given to them is rejected."""
+    if mode != cap.IDEAL and snr is not None:
+        raise ValueError("snr applies to ideal sweeps only")
     digital = mode == cap.MOSTLY_DIGITAL
     snr = cap.SnrValue(cap.BINARY_SNR_LINEAR) if snr is None else snr
     ratio_mode = cap.MOSTLY_DIGITAL if digital else cap.MIXED
@@ -119,6 +130,32 @@ def test_sweep_table_columns_equal_scalar_calls(spec):
     assert table[1:3] == points[1:3]
 
 
+def _emitted(table) -> list:
+    outputs = []
+    for emit in (emit_csv, emit_json, emit_human):
+        buffer = io.StringIO()
+        emit(table, buffer)
+        outputs.append(buffer.getvalue())
+    return outputs
+
+
+# run_sweep keeps its grid, d_RMS and n columns as levels and row codes,
+# which emission formats once per level; the same columns as plain arrays
+# are formatted value by value
+@settings(max_examples=100, deadline=None)
+@given(sweep_specs(), st.integers(1, 50))
+def test_levels_write_what_plain_arrays_write(spec, chunk_rows):
+    table = run_sweep(spec)
+    assert set(table.levels) == {"frequency_hz", "rms_delay_spread_s"} | (
+        {"sampling_factor"} if spec.sampling_factors else set()
+    )
+    plain = SweepTable(dict(table.columns))
+    assert plain.levels == {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("uwbcap.explorer._CHUNK_ROWS", chunk_rows)
+        assert _emitted(table) == _emitted(plain)
+
+
 frequencies = st.lists(
     st.floats(1e6, 1e12) | st.sampled_from((0.0, -0.0, -2e9)), min_size=1, max_size=6
 )
@@ -193,3 +230,12 @@ def test_grid_raises_what_the_scalar_path_raises(
         for output, values in grid.items():
             assert values.ravel().tolist() == [row[fields[output]] for row in expected]
 
+
+
+def test_grid_rejects_an_snr_outside_ideal_mode():
+    # binary returned its SNR-3 rate, 5e8 bit/s, whatever the SNR
+    for mode, factors in ((cap.BINARY, ()), (cap.MOSTLY_DIGITAL, (4.0,)), (cap.MIXED, ())):
+        with pytest.raises(ValueError, match="^snr applies to ideal sweeps only$"):
+            cap.capacity_grid(
+                mode, [1e9], [cap.DelaySpread(1e-9)], factors, snr=cap.SnrValue.from_db(-200)
+            )

@@ -292,6 +292,14 @@ class TestIsiSpill:
         assert isi_spill(line, 1e-9, 1e-9) == 0.0
         assert isi_spill(line, 2e-9, 5e-9) == 0.0
 
+    # a quotient past the float range: in_symbol_fraction warned "overflow
+    # encountered in divide" where isi_spill did not
+    @pytest.mark.filterwarnings("error")
+    def test_periods_past_the_float_range_warn_nothing(self):
+        line = TappedDelayLine.from_taps([(0.0, 0.5), (1e-9, 0.5)])
+        assert isi_spill(line, 1e-300, 1e300) == 0.0
+        assert in_symbol_fraction(line, 1e-300, 1e300) == 1.0
+
     # each fraction is a 400-tap dot product: 2.6e-14 off 1 at worst over
     # 5000 draws
     @given(st.integers(0, 2**32 - 1), _pulse_and_periods(1, 4))
@@ -660,6 +668,21 @@ print('numpy' in sys.modules, 'scipy' in sys.modules)
 def test_only_array_commands_load_numpy(argv, numpy_loaded):
     # scipy is never imported
     assert _fresh_python(_LOADED_AFTER_MAIN, *argv) == f"{numpy_loaded} False"
+
+
+def test_import_time_lists_the_lazily_loaded_modules():
+    # -X importtime records __import__ but not importlib.import_module, so
+    # these modules' time once showed as uwbcap.cli's own
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import uwbcap.cli"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    rows = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert {"uwbcap.capacity", "uwbcap.datasets", "uwbcap.explorer", "uwbcap.cli"} <= rows
 
 
 def test_package_star_import_binds_every_exported_name():
