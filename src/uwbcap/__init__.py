@@ -36,7 +36,7 @@ _EXPORTS = {
         "reproduce_table_vii", "run_sweep",
     ),
     "isi": (
-        "IsiReport", "TappedDelayLine", "in_symbol_fraction", "isi_spill",
+        "IsiReport", "TappedDelayLine", "isi_spill",
         "rms_delay_spread", "synthesize_channel", "validate_assumption",
     ),
     "units": ("format_quantity", "parse_quantity"),

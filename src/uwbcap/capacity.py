@@ -445,7 +445,9 @@ def capacity_derivative(
 
     Raises:
         DomainError: the overhead n/F or the derivative leaves the float
-            range (F below about 1e-154 Hz, or (n/F + d)^2 underflowing to 0).
+            range (F below about 1e-154 Hz, or (n/F + d)^2 underflowing to 0),
+            or the quotient (n/F)/F or the derivative falls below the normal
+            range, where it loses precision (F from about 7e153 * sqrt(n) Hz).
     """
     if not 0 < frequency < math.inf:
         raise ValueError("frequency must be > 0 Hz")
@@ -455,7 +457,8 @@ def capacity_derivative(
         value = _derivative(overhead, frequency, d.value)
     except ZeroDivisionError:  # (n/F + d)^2 underflowed to 0
         value = math.inf
-    if not math.isfinite(value):
+    # a subnormal (n/F)/F or result keeps fewer than 53 bits, or none at all
+    if not (math.isfinite(value) and min(overhead / frequency, value) >= sys.float_info.min):
         raise DomainError(
             f"the capacity derivative at frequency {frequency!r} Hz is out of float range"
         )
@@ -470,7 +473,8 @@ def percent_of_max(
 ) -> float:
     """Capacity at the given frequency as a fraction of its asymptote.
 
-    Equals d / (n/F + d): strictly increasing in frequency, always < 1,
+    Equals d / (n/F + d): nondecreasing in frequency and at most 1, exactly
+    1.0 once n/F is below half an ulp of d (as at 1e30 Hz and 1 ns), and
     independent of the modulation order (the multiplier cancels).
 
     Raises:
@@ -551,13 +555,15 @@ def capacity_grid(
     and ``frequencies[k]``.  Ideal and binary grids take the mixed
     parameterization for the last two outputs.  ``snr`` (ideal only, default
     linear 3; other modes raise ValueError if given one) and ``modulation``
-    (mostly_digital, mixed) set the multiplier.
+    (mostly_digital, mixed; ideal and binary raise ValueError if given one
+    other than the default) set the multiplier.
 
     Raises what the scalar calls raise at the first point, in (d, n, F)
     order, that they reject: the points a vectorised screen flags (F not
     positive and finite, n below 2 or not finite, an overhead n/F, capacity
-    or derivative that is not finite, d = 0 with percent_of_max, capacity
-    outside (0, asymptote]) are re-run through the scalar functions.
+    or derivative that is not finite, a derivative or (n/F)/F below the
+    normal range, d = 0 with percent_of_max, capacity outside
+    (0, asymptote]) are re-run through the scalar functions.
 
     Returns:
         output name -> array of shape (len(d), len(n) or 1, len(F)).
@@ -570,6 +576,8 @@ def capacity_grid(
         raise ValueError(f"outputs must be a subset of {OUTPUTS}")
     if mode != IDEAL and snr is not None:
         raise ValueError("snr applies to ideal sweeps only")
+    if mode in (IDEAL, BINARY) and modulation != ModulationScheme():
+        raise ValueError("modulation applies to mostly_digital and mixed sweeps only")
     digital = mode == MOSTLY_DIGITAL
     if snr is None:
         snr = SnrValue(BINARY_SNR_LINEAR)
@@ -596,8 +604,11 @@ def capacity_grid(
                 | (rate > _symbol_rate(multiplier, 0.0, d))
             )
         if "derivative" in outputs:
-            values["derivative"] = _derivative(overhead, f, d)
-            suspect = suspect | ~np.isfinite(values["derivative"])
+            derivative = values["derivative"] = _derivative(overhead, f, d)
+            suspect = (
+                suspect | ~np.isfinite(derivative) | (derivative < sys.float_info.min)
+                | (overhead / f < sys.float_info.min)
+            )
         if "percent_of_max" in outputs:
             values["percent_of_max"] = _fraction_of_max(overhead, d)
             suspect = suspect | (d == 0)

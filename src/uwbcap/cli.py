@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import capacity as cap
-from . import datasets, explorer
+from . import datasets, emit, explorer
 from .errors import DomainError, QuantityError
 from .units import FREQUENCY, TIME, parse_quantity
 
@@ -255,12 +255,12 @@ def _full_precision_json(rows, stream) -> None:
     stream.write("\n")
 
 
-def _emit(args, rows, *, write_csv=explorer.emit_csv, write_json=_full_precision_json,
-          write_human=explorer.emit_human) -> int:
+def _emit(args, rows, *, write_csv=emit.emit_csv, write_json=_full_precision_json,
+          write_human=emit.emit_human) -> int:
     """Write ``rows`` in ``--format`` to ``--output``, or to stdout.
 
     JSON keeps every float at full precision unless the caller passes
-    ``explorer.emit_json``, which rounds to 10 significant digits.
+    ``emit.emit_json``, which rounds to 10 significant digits.
     """
     write = {"csv": write_csv, "json": write_json, "human": write_human}[args.format]
     if args.output:
@@ -273,7 +273,7 @@ def _emit(args, rows, *, write_csv=explorer.emit_csv, write_json=_full_precision
 
 
 def _capacity_csv(payload, stream) -> None:
-    explorer.emit_csv([{**payload, "notes": "; ".join(payload["notes"])}], stream)
+    emit.emit_csv([{**payload, "notes": "; ".join(payload["notes"])}], stream)
 
 
 def _capacity_human(payload, stream) -> None:
@@ -284,7 +284,7 @@ def _capacity_human(payload, stream) -> None:
     stream.write(f"channel capacity : {rate:.10g} Mbit/s\n")
     stream.write(f"asymptote        : {asym_text}\n")
     for key, value in echo.items():
-        stream.write(f"  {key} = {explorer.human_cell(value)}\n")
+        stream.write(f"  {key} = {emit.human_cell(value)}\n")
     for note in notes:
         stream.write(f"note: {note}\n")
 
@@ -355,12 +355,12 @@ def cmd_sweep(args) -> int:
         snr=cap.SnrValue.from_db(args.snr_db) if args.snr_db is not None else None,
         outputs=args.outputs,
     )
-    return _emit(args, explorer.run_sweep(spec), write_json=explorer.emit_json)
+    return _emit(args, explorer.run_sweep(spec), write_json=emit.emit_json)
 
 
 def cmd_table(args) -> int:
     rows = explorer.reproduce_table_iv() if args.which == "iv" else explorer.reproduce_table_vii()
-    _emit(args, rows, write_json=explorer.emit_json)
+    _emit(args, rows, write_json=emit.emit_json)
     if not args.check:
         return EXIT_OK
     problems = explorer.check_table_iv() if args.which == "iv" else explorer.check_table_vii()

@@ -12,11 +12,13 @@ ingestion produces new lists and never touches them.
 """
 
 import csv
+import io
 import math
 import operator
 import os
 from dataclasses import dataclass, fields
 
+from .emit import emit_csv
 from .errors import SchemaError
 from .units import FREQUENCY, POWER, TIME, format_quantity, parse_quantity
 
@@ -354,8 +356,6 @@ def to_csv(entries) -> str:
         ValueError: an empty list, or entries that are not all of one
             survey entry type.
     """
-    from .explorer import emit_csv_string  # explorer imports this module
-
     if not entries:
         raise ValueError("cannot infer a schema from an empty entry list")
     entry_type = type(entries[0])
@@ -370,7 +370,9 @@ def to_csv(entries) -> str:
             column: write(getattr(entry, field.name))
             for field, (column, (_, write)) in columns
         })
-    return emit_csv_string(rows)
+    buffer = io.StringIO()
+    emit_csv(rows, buffer)
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .explorer import emit_csv_string
-from .units import TIME, format_quantity
 
 _POWER_SUM_TOL = 1e-12
 #: exp(-x) underflows to 0 in double precision for x above about 745.13.
@@ -76,35 +74,6 @@ class TappedDelayLine:
         powers.setflags(write=False)
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "powers", powers)
-
-    @classmethod
-    def normalized(cls, delays, powers) -> "TappedDelayLine":
-        """Build a tap line, rescaling the powers to total exactly 1."""
-        import numpy as np
-
-        powers = np.asarray(powers, dtype=float)
-        total = powers.sum()
-        if total <= 0:
-            raise ValueError("total tap power must be > 0")
-        return cls(np.asarray(delays, dtype=float), powers / total)
-
-    @classmethod
-    def from_taps(cls, taps) -> "TappedDelayLine":
-        """Build from an iterable of (delay, power) pairs."""
-        import numpy as np
-
-        pairs = list(taps)
-        return cls(
-            np.array([d for d, _ in pairs], dtype=float),
-            np.array([p for _, p in pairs], dtype=float),
-        )
-
-    def to_csv(self) -> str:
-        """Tap line as CSV, delays in the unit-suffix quantity grammar."""
-        return emit_csv_string([
-            {"delay": format_quantity(delay, TIME), "power": repr(power)}
-            for delay, power in zip(self.delays.tolist(), self.powers.tolist())
-        ])
 
 
 def _rms(powers, delays) -> float:
@@ -386,21 +355,6 @@ def isi_spill(
     """
     _check_pulse(pulse_duration, symbol_period)
     return float(channel.powers.dot(_tail(channel.delays, pulse_duration, symbol_period)))
-
-
-def in_symbol_fraction(
-    channel: TappedDelayLine,
-    pulse_duration: float,
-    symbol_period: float,
-) -> float:
-    """Complementary energy fraction arriving before the symbol period."""
-    import numpy as np
-
-    _check_pulse(pulse_duration, symbol_period)
-    # as in _tail: a quotient past the float range clips to the right share
-    with np.errstate(over="ignore"):
-        head = np.clip((symbol_period - channel.delays) / pulse_duration, 0.0, 1.0)
-    return float(np.dot(channel.powers, head))
 
 
 @dataclass(frozen=True)

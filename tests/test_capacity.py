@@ -405,6 +405,8 @@ class TestCapacityDerivative:
             (MOSTLY_DIGITAL, 1e-155, 1e-9, 4.0),
             (MIXED, 1e-320, 1e-9, None),  # n/F itself overflows
             (MIXED, 1e162, 0.0, None),  # (n/F + d)^2 underflows to 0
+            (MIXED, 1e160, 1e-9, None),  # (n/F)/F is subnormal, the result is not
+            (MIXED, 1e163, 1e-9, None),  # the result underflows to 0
         ],
     )
     def test_out_of_range_derivative_is_a_domain_error(self, mode, frequency, d_rms, n):

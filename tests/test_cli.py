@@ -537,6 +537,23 @@ def test_sweep_rejects_an_snr_outside_ideal_mode(capsys, axis):
     ) == (2, "", "error: snr applies to ideal sweeps only\n")
 
 
+# the modulation enters digital and mixed mode only; binary and ideal sweeps
+# printed the same bytes whatever --mary and --mary-convention said
+@pytest.mark.parametrize(
+    "axis",
+    [
+        ("--mode", "binary", "--param", "bandwidth"),
+        ("--mode", "ideal", "--param", "bandwidth"),
+    ],
+    ids=["binary", "ideal"],
+)
+def test_sweep_rejects_a_modulation_outside_digital_and_mixed_mode(capsys, axis):
+    assert run(
+        capsys, "sweep", *axis, "--from", "1GHz", "--to", "2GHz", "--points", "2",
+        "--delay-spreads", "1ns", "--mary", "8", "--mary-convention", "log2", "--format", "csv",
+    ) == (2, "", "error: modulation applies to mostly_digital and mixed sweeps only\n")
+
+
 # each raised numpy warnings (1e153 s) or came out wrong: a subnormal d_RMS^2
 # missed the 1e-161 s target by 0.6%, and a Shannon factor of 0 was reported
 # as a zero capacity (exit 2)
@@ -564,9 +581,14 @@ def test_sweep_rejects_an_snr_outside_ideal_mode(capsys, axis):
           "--points", "2", "--delay-spreads", "1ns", "--snr-db", "-200"),
          "SNR 1e-20 (-200 dB) is too small: its Shannon factor (1/2) log2(1 + SNR) "
          "rounds to 0 bit/symbol"),
+        # the derivative underflowed and printed 0
+        (("sweep", "--mode", "mixed", "--param", "fcircuit", "--from", "1e15GHz", "--to",
+          "1e200GHz", "--points", "3", "--log", "--delay-spreads", "1ns", "--outputs",
+          "capacity,derivative,percent", "--format", "csv"),
+         "the capacity derivative at frequency 1e+209 Hz is out of float range"),
     ],
     ids=["validate-isi-1e-161s", "validate-isi-1e153s", "ideal-snr-linear", "ideal-snr-db",
-         "ideal-sweep-snr-db"],
+         "ideal-sweep-snr-db", "mixed-sweep-derivative-underflow"],
 )
 def test_inputs_past_the_float_range_exit_three_naming_the_input(capsys, argv, message):
     assert run(capsys, *argv) == (3, "", f"domain error: {message}\n")

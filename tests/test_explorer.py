@@ -10,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import uwbcap.capacity as cap
-from uwbcap import explorer
+from uwbcap import emit
+from uwbcap.emit import emit_csv, emit_human, emit_json, rows_to_dicts
 from uwbcap.errors import DomainError
 from uwbcap.explorer import (
     TABLE_IV_GOLDEN,
@@ -19,17 +20,10 @@ from uwbcap.explorer import (
     SweepTable,
     check_table_iv,
     check_table_vii,
-    default_bandwidth_sweep,
-    default_circuit_sweep,
     default_sampling_sweep,
-    emit_csv,
-    emit_csv_string,
-    emit_human,
-    emit_json,
     market_capacity_points,
     reproduce_table_iv,
     reproduce_table_vii,
-    rows_to_dicts,
     run_sweep,
 )
 
@@ -40,6 +34,12 @@ def rel(actual, expected):
 
 def spread(ns):
     return cap.DelaySpread(ns * 1e-9)
+
+
+def csv_text(rows) -> str:
+    buffer = io.StringIO()
+    emit_csv(rows, buffer)
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +372,7 @@ class TestRunSweep:
             run_sweep(spec)
 
     def test_default_sweeps_run(self):
-        assert len(run_sweep(default_bandwidth_sweep(points=10))) == 30
         assert len(run_sweep(default_sampling_sweep(points=10))) == 60
-        assert len(run_sweep(default_circuit_sweep(points=10))) == 30
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +427,7 @@ class TestEmission:
             start_hz=2e9, stop_hz=2e10, points=2,
             delay_spreads=(spread(17),), sampling_factors=(4.0,),
         )
-        text = emit_csv_string(run_sweep(spec))
+        text = csv_text(run_sweep(spec))
         lines = text.strip().splitlines()
         assert lines[0] == (
             "frequency_hz,rms_delay_spread_s,sampling_factor,"
@@ -443,7 +441,7 @@ class TestEmission:
     def test_csv_parses_with_stdlib_reader(self):
         import csv
 
-        text = emit_csv_string(reproduce_table_iv())
+        text = csv_text(reproduce_table_iv())
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 9
         assert rows[0]["environment"] == "Residential LOS"
@@ -495,15 +493,15 @@ class TestTokenRule:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_token_is_json_of_the_ten_digit_rounding(self, value):
         rounded = float("{:.10g}".format(value))
-        expected = json.dumps(rounded) if math.isfinite(rounded) else explorer._json_cell(value)
-        assert explorer._json_floats(np.array([value])) == [expected]
-        assert explorer._json_floats(np.array([value, 1.5])) == [expected, "1.5"]
+        expected = json.dumps(rounded) if math.isfinite(rounded) else emit._json_cell(value)
+        assert emit._json_floats(np.array([value])) == [expected]
+        assert emit._json_floats(np.array([value, 1.5])) == [expected, "1.5"]
 
     @with_token_examples
     @given(st.floats())
     def test_percent_and_format_texts_agree(self, value):
         assert "%.10g" % value == "{:.10g}".format(value)
-        assert explorer._human_floats(np.array([value])) == ["{:.10g}".format(value)]
+        assert emit._human_floats(np.array([value])) == ["{:.10g}".format(value)]
 
 
 # values near a nonzero integer, on both sides of the 1e-9 relative margin
@@ -528,15 +526,15 @@ class TestPlainColumns:
     @example(math.inf)
     @example(math.nan)
     def test_plain_values_are_their_ten_digit_text(self, value):
-        if explorer._plain(np.array([value])):
+        if emit._plain(np.array([value])):
             assert "%.10g" % value == json.dumps(float("{:.10g}".format(value)))
-        assert explorer._plain(np.array([value, 0.5])) == explorer._plain(np.array([value]))
+        assert emit._plain(np.array([value, 0.5])) == emit._plain(np.array([value]))
 
     def test_examples_on_both_sides(self):
-        assert explorer._plain(np.array([0.5, -1e-5, 123456789.4, 2.2250738585072014e-308]))
+        assert emit._plain(np.array([0.5, -1e-5, 123456789.4, 2.2250738585072014e-308]))
         for value in (0.99999999996, 999999999.5, 123456789.04, 5e-324, -0.0, 0.0, 3.0,
                       math.inf, math.nan):
-            assert not explorer._plain(np.array([0.5, value]))
+            assert not emit._plain(np.array([0.5, value]))
 
 
 def stdlib_csv(dicts) -> str:
@@ -567,7 +565,7 @@ def _human_cell(value) -> str:
 
 
 def _human_table(rows, stream) -> None:
-    dicts = explorer.rows_to_dicts(rows)
+    dicts = emit.rows_to_dicts(rows)
     if not dicts:
         return
     headers = list(dicts[0])
@@ -592,12 +590,12 @@ class TestColumnarEmission:
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        monkeypatch.setattr("uwbcap.explorer._CHUNK_ROWS", 3)
+        monkeypatch.setattr("uwbcap.emit._CHUNK_ROWS", 3)
 
     def emitted(self, rows):
         out = io.StringIO()
         emit_json(rows, out)
-        return emit_csv_string(rows), out.getvalue()
+        return csv_text(rows), out.getvalue()
 
     def test_table_with_repeated_signed_and_nonfinite_values(self):
         table = SweepTable({
@@ -625,7 +623,7 @@ class TestColumnarEmission:
             ),
             "percent_of_max": np.array([0.5, 1e-5, 99.99999999, 12.0, 1e-300, 7e22, 1e9, -3.0]),
         })
-        assert explorer._plain(table.columns["derivative_bit_s_per_hz"])
+        assert emit._plain(table.columns["derivative_bit_s_per_hz"])
         dicts = rows_to_dicts(table)
         assert self.emitted(table) == (stdlib_csv(dicts), stdlib_json(dicts))
         assert self.human(table) == stdlib_human(table)
@@ -690,11 +688,11 @@ def test_human_table_holds_one_chunk_of_cells():
     assert len(table) == 20000
     peaks = {}
     with open(os.devnull, "w") as sink:
-        for emit in (emit_csv, emit_human):
+        for write in (emit_csv, emit_human):
             tracemalloc.start()
             try:
-                emit(table, sink)
-                peaks[emit] = tracemalloc.get_traced_memory()[1]
+                write(table, sink)
+                peaks[write] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
     assert peaks[emit_human] <= 2 * peaks[emit_csv]

@@ -16,9 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uwbcap.capacity as cap
-from uwbcap.explorer import (
-    SweepPoint, SweepSpec, SweepTable, emit_csv, emit_human, emit_json, rows_to_dicts, run_sweep,
-)
+from uwbcap.emit import emit_csv, emit_human, emit_json, rows_to_dicts
+from uwbcap.explorer import SweepPoint, SweepSpec, SweepTable, run_sweep
 
 _PARAMETER = {
     cap.IDEAL: "bandwidth",
@@ -30,10 +29,13 @@ _PARAMETER = {
 
 def scalar_rows(mode, frequencies, delay_spreads, sampling_factors, modulation, snr, outputs):
     """One dict per (d, n, f) point, in that nesting order, from scalar calls.
-    Only the ideal model takes an SNR; the other modes' scalar functions
-    have no SNR argument, so an SNR given to them is rejected."""
+    Only the ideal model takes an SNR, and only the digital and mixed models
+    a modulation; the other modes' scalar functions have no such argument,
+    so one given to them is rejected."""
     if mode != cap.IDEAL and snr is not None:
         raise ValueError("snr applies to ideal sweeps only")
+    if mode in (cap.IDEAL, cap.BINARY) and modulation != cap.ModulationScheme():
+        raise ValueError("modulation applies to mostly_digital and mixed sweeps only")
     digital = mode == cap.MOSTLY_DIGITAL
     snr = cap.SnrValue(cap.BINARY_SNR_LINEAR) if snr is None else snr
     ratio_mode = cap.MOSTLY_DIGITAL if digital else cap.MIXED
@@ -105,7 +107,8 @@ def sweep_specs(draw):
         ),
         spacing=draw(st.sampled_from(("linear", "logarithmic"))),
         sampling_factors=factors,
-        modulation=draw(modulations),
+        modulation=draw(modulations) if mode in (cap.MOSTLY_DIGITAL, cap.MIXED)
+        else cap.ModulationScheme(),
         snr=draw(snrs) if mode == cap.IDEAL else None,
         outputs=tuple(outputs),
     )
@@ -152,7 +155,7 @@ def test_levels_write_what_plain_arrays_write(spec, chunk_rows):
     plain = SweepTable(dict(table.columns))
     assert plain.levels == {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("uwbcap.explorer._CHUNK_ROWS", chunk_rows)
+        patch.setattr("uwbcap.emit._CHUNK_ROWS", chunk_rows)
         assert _emitted(table) == _emitted(plain)
 
 
@@ -199,6 +202,15 @@ def _example(freqs, spreads_s, factors, outputs):
 @example(
     cap.MIXED, [1e9, 1e162], [cap.DelaySpread(0.0)], [1.0], cap.ModulationScheme(),
     None, ["derivative"],
+)
+# and a (n/F)/F or a derivative below the normal range
+@example(
+    cap.MIXED, [1e9, 1e160], [cap.DelaySpread(1e-9)], [1.0], cap.ModulationScheme(),
+    None, ["derivative"],
+)
+@example(
+    cap.MIXED, [1e9, 1e163], [cap.DelaySpread(1e-9)], [1.0], cap.ModulationScheme(),
+    None, ["capacity", "derivative"],
 )
 @example(
     cap.MIXED, [1e9], [cap.DelaySpread(1e-9)], [1.0], cap.ModulationScheme(10**308),

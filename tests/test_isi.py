@@ -17,7 +17,6 @@ from uwbcap.errors import DomainError
 from uwbcap.isi import (
     IsiReport,
     TappedDelayLine,
-    in_symbol_fraction,
     isi_spill,
     rms_delay_spread,
     synthesize_channel,
@@ -38,34 +37,18 @@ class TestTappedDelayLine:
         with pytest.raises(ValueError, match="at least one tap"):
             TappedDelayLine(np.array([]), np.array([]))
         with pytest.raises(ValueError, match="delay 0"):
-            TappedDelayLine.from_taps([(1e-9, 1.0)])
+            TappedDelayLine([1e-9], [1.0])
         with pytest.raises(ValueError, match="strictly increasing"):
-            TappedDelayLine.from_taps([(0.0, 0.5), (2e-9, 0.25), (1e-9, 0.25)])
+            TappedDelayLine([0.0, 2e-9, 1e-9], [0.5, 0.25, 0.25])
         with pytest.raises(ValueError, match="> 0"):
-            TappedDelayLine.from_taps([(0.0, 1.5), (1e-9, -0.5)])
+            TappedDelayLine([0.0, 1e-9], [1.5, -0.5])
         with pytest.raises(ValueError, match="sum to 1"):
-            TappedDelayLine.from_taps([(0.0, 0.5), (1e-9, 0.4)])
-
-    def test_normalized_rescales(self):
-        line = TappedDelayLine.normalized([0.0, 1e-9], [3.0, 1.0])
-        assert line.powers.sum() == pytest.approx(1.0, abs=1e-15)
-        assert line.powers[0] == 0.75
+            TappedDelayLine([0.0, 1e-9], [0.5, 0.4])
 
     def test_arrays_are_read_only(self):
-        line = TappedDelayLine.from_taps([(0.0, 0.5), (1e-9, 0.5)])
+        line = TappedDelayLine([0.0, 1e-9], [0.5, 0.5])
         with pytest.raises(ValueError):
             line.powers[0] = 1.0
-
-    def test_to_csv_uses_quantity_grammar(self):
-        from uwbcap.units import parse_quantity
-
-        line = TappedDelayLine.from_taps([(0.0, 0.5), (2e-9, 0.5)])
-        text = line.to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "delay,power"
-        delay_cell, power_cell = lines[2].split(",")
-        assert parse_quantity(delay_cell, expect="time") == 2e-9
-        assert float(power_cell) == 0.5
 
 
 @st.composite
@@ -81,16 +64,16 @@ def _tap_profiles(draw):
 
 class TestRmsDelaySpread:
     def test_symmetric_two_path(self):
-        line = TappedDelayLine.from_taps([(0.0, 0.5), (2e-9, 0.5)])
+        line = TappedDelayLine([0.0, 2e-9], [0.5, 0.5])
         assert rel(rms_delay_spread(line), 1e-9) < 1e-12
 
     def test_single_tap_is_zero(self):
-        line = TappedDelayLine.from_taps([(0.0, 1.0)])
+        line = TappedDelayLine([0.0], [1.0])
         assert rms_delay_spread(line) == 0.0
 
     def test_three_tap_hand_computation(self):
         # mean = 1 ns, second moment = 2.5 ns^2, sqrt(1.5) = 1.22474 ns
-        line = TappedDelayLine.from_taps([(0.0, 0.5), (1e-9, 0.25), (3e-9, 0.25)])
+        line = TappedDelayLine([0.0, 1e-9, 3e-9], [0.5, 0.25, 0.25])
         assert rel(rms_delay_spread(line), math.sqrt(1.5) * 1e-9) < 1e-9
 
     # shifts up to 10 times the last delay: the moment subtracts the squared
@@ -288,30 +271,15 @@ def _pulse_and_periods(min_size, max_size):
 
 class TestIsiSpill:
     def test_point_channel_spills_nothing(self):
-        line = TappedDelayLine.from_taps([(0.0, 1.0)])
+        line = TappedDelayLine([0.0], [1.0])
         assert isi_spill(line, 1e-9, 1e-9) == 0.0
         assert isi_spill(line, 2e-9, 5e-9) == 0.0
 
-    # a quotient past the float range: in_symbol_fraction warned "overflow
-    # encountered in divide" where isi_spill did not
+    # a quotient past the float range warns nothing
     @pytest.mark.filterwarnings("error")
     def test_periods_past_the_float_range_warn_nothing(self):
-        line = TappedDelayLine.from_taps([(0.0, 0.5), (1e-9, 0.5)])
+        line = TappedDelayLine([0.0, 1e-9], [0.5, 0.5])
         assert isi_spill(line, 1e-300, 1e300) == 0.0
-        assert in_symbol_fraction(line, 1e-300, 1e300) == 1.0
-
-    # each fraction is a 400-tap dot product: 2.6e-14 off 1 at worst over
-    # 5000 draws
-    @given(st.integers(0, 2**32 - 1), _pulse_and_periods(1, 4))
-    @example(3, (0.25e-9, [0.25e-9, 5e-9, 9.25e-9, 30e-9]))
-    def test_energy_conservation(self, seed, pulse_and_periods):
-        channel = synthesize_channel(9e-9, 0.5e-9, 400, rng_seed=seed)
-        pulse, periods = pulse_and_periods
-        for symbol_period in periods:
-            total = isi_spill(channel, pulse, symbol_period) + in_symbol_fraction(
-                channel, pulse, symbol_period
-            )
-            assert abs(total - 1.0) <= 1e-12
 
     @given(st.none() | st.integers(0, 2**32 - 1), _pulse_and_periods(2, 20))
     @example(None, (0.25e-9, list(np.linspace(0.25e-9, 60e-9, 80))))
@@ -620,6 +588,69 @@ def test_trial_loop_holds_no_trials_by_taps_matrix():
     assert peak < trials * taps * 8 / 10
 
 
+def _exact_faded_spill(d_rms, pulse, guards):
+    """Mean and standard deviation of one faded trial's spill per guard
+    multiple, from the fading law alone.
+
+    A trial's tap powers are X_i = p_i E_i with E_i ~ Exp(1), and its spill
+    is S = sum(w_i X_i) / sum(X_j), w_i the tail share of tap i.  Writing
+    1 / sum(X_j) as the integral of exp(-t sum(X_j)) over t gives
+    E[S] = int L(t) sum(w_i a_i(t)) dt and E[S^2] = int t L(t) ((sum w_i a_i)^2
+    + sum w_i^2 a_i^2) dt, with L(t) = prod 1 / (1 + t p_j) and
+    a_i(t) = p_i / (1 + t p_i).  With t = e^u, the trapezoid rule over
+    u in [-40, ln(1e6 / max p)] at 501 points evaluates them.
+    """
+    channel = synthesize_channel(d_rms, d_rms / 40, 600)
+    powers, delays = channel.powers, channel.delays
+    u = np.linspace(-40.0, math.log(1e6 / powers.max()), 501)
+    t = np.exp(u)[:, None]
+    a = powers / (1.0 + t * powers)
+    weight = np.exp(u - np.log1p(t * powers).sum(axis=1))  # dt/du * L(t)
+    moments = []
+    for k in guards:
+        w = np.clip((delays - k * d_rms) / pulse, 0.0, 1.0)
+        wa = a @ w
+        mean = np.trapezoid(weight * wa, u)
+        second = np.trapezoid(weight * np.exp(u) * (wa * wa + (a * a) @ (w * w)), u)
+        moments.append((mean, math.sqrt(second - mean * mean)))
+    return moments
+
+
+def _faded_z_scores(d_rms, pulse, trials=20000):
+    guards = (0, 1, 2, 3, 5)
+    reports = validate_assumption(d_rms, pulse, guard_multiples=guards, trials=trials)
+    return [
+        (report.spill_fraction - mean) / (sd / math.sqrt(trials))
+        for report, (mean, sd) in zip(reports, _exact_faded_spill(d_rms, pulse, guards))
+    ]
+
+
+def test_exact_moments_at_nine_nanoseconds():
+    mean, sd = _exact_faded_spill(9e-9, 0.5e-9, (1,))[0]
+    assert round(sd, 5) == 0.04462
+    assert 0.35 < mean < 0.36  # below the fading-free exp(-1) share
+
+
+# the five guard multiples share their trials, so their z-scores are
+# correlated: each case is gated at |z| <= 4, not at a per-test level
+@pytest.mark.parametrize("d_rms, pulse", [(9e-9, 0.5e-9), (1e-9, 0.5e-9), (17e-9, 0.25e-9)])
+def test_faded_mean_spill_matches_the_exact_expectation(d_rms, pulse):
+    assert max(map(abs, _faded_z_scores(d_rms, pulse))) <= 4
+
+
+def test_exact_expectation_rejects_rayleigh_amplitude_powers(monkeypatch):
+    from numpy.random import default_rng
+
+    def amplitudes(powers, seeds):  # a Rayleigh amplitude taken for the power
+        for seed in seeds:
+            faded = powers * default_rng(seed).rayleigh(1.0, powers.size)
+            faded /= faded.sum()
+            yield faded
+
+    monkeypatch.setattr("uwbcap.isi._faded", amplitudes)
+    assert min(_faded_z_scores(9e-9, 0.5e-9)) < -4
+
+
 def _fresh_python(script, *args) -> str:
     """stdout of ``script`` run in a new interpreter that imports ``src``."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -682,7 +713,24 @@ def test_import_time_lists_the_lazily_loaded_modules():
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines() if line.startswith("import time:")
     }
-    assert {"uwbcap.capacity", "uwbcap.datasets", "uwbcap.explorer", "uwbcap.cli"} <= rows
+    assert {"uwbcap.capacity", "uwbcap.datasets", "uwbcap.emit", "uwbcap.explorer",
+            "uwbcap.cli"} <= rows
+
+
+# emit sits below every module that writes rows, and the oracle and the
+# surveys need no sweep engine
+@pytest.mark.parametrize("module, absent", [
+    ("uwbcap.emit", ("numpy", *(
+        f"uwbcap.{path.stem}"
+        for path in (Path(__file__).resolve().parent.parent / "src" / "uwbcap").glob("*.py")
+        if path.stem not in ("__init__", "emit")
+    ))),
+    ("uwbcap.isi", ("uwbcap.explorer", "uwbcap.datasets")),
+    ("uwbcap.datasets", ("uwbcap.explorer",)),
+])
+def test_import_graph_points_down(module, absent):
+    script = f"import sys, {module}; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    assert _fresh_python(script, *absent) == "[]"
 
 
 def test_package_star_import_binds_every_exported_name():
@@ -718,7 +766,7 @@ _PUBLIC_NAMES = {
         "reproduce_table_vii", "run_sweep",
     ),
     "isi": (
-        "IsiReport", "TappedDelayLine", "in_symbol_fraction", "isi_spill",
+        "IsiReport", "TappedDelayLine", "isi_spill",
         "rms_delay_spread", "synthesize_channel", "validate_assumption",
     ),
     "units": ("format_quantity", "parse_quantity"),
@@ -752,7 +800,7 @@ print(json.dumps({
 """
     result = json.loads(_fresh_python(script, json.dumps(_PUBLIC_NAMES)))
     names = sorted(name for names in _PUBLIC_NAMES.values() for name in names)
-    assert len(names) == 55
+    assert len(names) == 54
     assert result == {
         "loaded": [],
         "all": names,
