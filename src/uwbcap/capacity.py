@@ -517,6 +517,34 @@ def required_frequency(
     return n * target_fraction / (d.value * (1.0 - target_fraction))
 
 
+def check_grid_arguments(mode, delay_spreads, sampling_factors, modulation, snr, outputs) -> None:
+    """The rules on a grid's non-frequency arguments, which ``capacity_grid``
+    and ``explorer.SweepSpec`` both check, so that the two accept the same
+    arguments.  Raises ValueError for a mode outside ``MODES``; no delay
+    spread, or one that is not a ``DelaySpread``; sampling factors missing
+    in mostly_digital mode or given in any other; an ``snr`` outside ideal
+    mode; a non-default ``modulation`` in ideal or binary mode; outputs that
+    are not a nonempty subset of ``OUTPUTS``; the derivative in ideal mode."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if not delay_spreads:
+        raise ValueError("at least one delay spread is required")
+    if not all(isinstance(d, DelaySpread) for d in delay_spreads):
+        raise ValueError("delay_spreads must contain DelaySpread values")
+    if mode == MOSTLY_DIGITAL and not sampling_factors:
+        raise ValueError("mostly_digital sweeps need at least one sampling factor")
+    if mode != MOSTLY_DIGITAL and sampling_factors:
+        raise ValueError("sampling_factors apply to mostly_digital sweeps only")
+    if mode != IDEAL and snr is not None:
+        raise ValueError("snr applies to ideal sweeps only")
+    if mode in (IDEAL, BINARY) and modulation != ModulationScheme():
+        raise ValueError("modulation applies to mostly_digital and mixed sweeps only")
+    if not outputs or any(o not in OUTPUTS for o in outputs):
+        raise ValueError(f"outputs must be a nonempty subset of {OUTPUTS}")
+    if mode == IDEAL and "derivative" in outputs:
+        raise ValueError("the derivative output is not defined in ideal mode")
+
+
 def _check_point(mode, f, d, n, modulation, snr, outputs) -> None:
     """Evaluate one grid point through the scalar functions, in the order a
     point-by-point sweep calls them, so that they raise what they raise."""
@@ -554,37 +582,33 @@ def capacity_grid(
     ``sampling_factors[j]`` (mostly_digital only; other modes have one slot)
     and ``frequencies[k]``.  Ideal and binary grids take the mixed
     parameterization for the last two outputs.  ``snr`` (ideal only, default
-    linear 3; other modes raise ValueError if given one) and ``modulation``
-    (mostly_digital, mixed; ideal and binary raise ValueError if given one
-    other than the default) set the multiplier.
+    linear 3) and ``modulation`` (mostly_digital and mixed only) set the
+    multiplier.
 
-    Raises what the scalar calls raise at the first point, in (d, n, F)
+    Raises ValueError for what ``check_grid_arguments`` rejects, as
+    ``explorer.SweepSpec`` does: arguments that no scalar call would take.
+    Then raises what the scalar calls raise at the first point, in (d, n, F)
     order, that they reject: the points a vectorised screen flags (F not
     positive and finite, n below 2 or not finite, an overhead n/F, capacity
     or derivative that is not finite, a derivative or (n/F)/F below the
     normal range, d = 0 with percent_of_max, capacity outside
-    (0, asymptote]) are re-run through the scalar functions.
+    (0, asymptote], an asymptote that overflows) are re-run through the
+    scalar functions.
 
     Returns:
         output name -> array of shape (len(d), len(n) or 1, len(F)).
     """
     import numpy as np  # only the array entry point needs it
 
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if any(o not in OUTPUTS for o in outputs):
-        raise ValueError(f"outputs must be a subset of {OUTPUTS}")
-    if mode != IDEAL and snr is not None:
-        raise ValueError("snr applies to ideal sweeps only")
-    if mode in (IDEAL, BINARY) and modulation != ModulationScheme():
-        raise ValueError("modulation applies to mostly_digital and mixed sweeps only")
+    factors = tuple(sampling_factors)
+    check_grid_arguments(mode, delay_spreads, factors, modulation, snr, outputs)
     digital = mode == MOSTLY_DIGITAL
     if snr is None:
         snr = SnrValue(BINARY_SNR_LINEAR)
     multiplier = {BINARY: 1.0}.get(mode, modulation.multiplier)
     if mode == IDEAL:
         multiplier = _half_log_factor(snr)
-    factors = tuple(sampling_factors) if digital else (None,)
+    factors = factors or (None,)
 
     f = np.asarray(frequencies, dtype=float)
     d = np.array([x.value for x in delay_spreads], dtype=float)[:, None, None]
@@ -599,9 +623,10 @@ def capacity_grid(
         if "capacity" in outputs:
             rate = _symbol_rate(multiplier, overhead, d)
             values["capacity"] = rate
+            bound = _symbol_rate(multiplier, 0.0, d)
             suspect = (
-                suspect | ~((rate > 0) & np.isfinite(rate))
-                | (rate > _symbol_rate(multiplier, 0.0, d))
+                suspect | ~((rate > 0) & np.isfinite(rate)) | (rate > bound)
+                | ((d != 0) & (bound == np.inf))  # a subnormal d overflows the asymptote
             )
         if "derivative" in outputs:
             derivative = values["derivative"] = _derivative(overhead, f, d)

@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--guard-multiples", type=_float_list, default=(1.0, 2.0, 3.0, 4.0, 5.0),
         metavar="K[,K...]",
     )
-    validate.add_argument("--trials", type=int, default=200)
-    validate.add_argument("--seed", type=int, default=0)
+    validate.add_argument("--trials", type=int, help="faded channels averaged (default 200)")
+    validate.add_argument("--seed", type=int, help="seed of the fading draws (default 0)")
     validate.add_argument(
         "--deterministic", action="store_true",
         help="fading-free profile, single realization, in closed form",

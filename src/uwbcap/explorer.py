@@ -20,8 +20,6 @@ from . import datasets
 # perfbench/layers.py and perfbench/replay.py time emission as explorer.emit_*
 from .emit import emit_csv, emit_json  # noqa: F401
 
-MODES = cap.MODES
-OUTPUTS = cap.OUTPUTS
 LINEAR = "linear"
 LOGARITHMIC = "logarithmic"
 
@@ -50,8 +48,14 @@ class SweepSpec:
     "percent_of_max".  The derivative column is the binary-modulation
     sensitivity (it carries no M-ary multiplier) and is unavailable in
     ideal mode; percent_of_max requires nonzero delay spreads.  ``snr``
-    applies to ideal mode only (other modes reject it) and defaults to the
-    binary working point, a linear ratio of 3.
+    applies to ideal mode only and defaults to the binary working point, a
+    linear ratio of 3.
+
+    Raises ValueError, first for what ``capacity.check_grid_arguments``
+    rejects (so ``capacity_grid`` rejects the same mode, delay spreads,
+    sampling factors, snr, modulation and outputs), then for a
+    ``swept_parameter`` other than the mode's, not 0 < start_hz < stop_hz,
+    fewer than 2 points, more than 10**7 rows, or an unknown ``spacing``.
     """
 
     mode: str
@@ -67,8 +71,10 @@ class SweepSpec:
     outputs: tuple = ("capacity",)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        cap.check_grid_arguments(
+            self.mode, self.delay_spreads, self.sampling_factors, self.modulation, self.snr,
+            self.outputs,
+        )
         if self.swept_parameter != _MODE_PARAMETER[self.mode]:
             raise ValueError(
                 f"{self.mode} mode sweeps {_MODE_PARAMETER[self.mode]}, "
@@ -83,20 +89,6 @@ class SweepSpec:
             raise ValueError(f"points = {self.points} gives {rows} sweep rows, over {_MAX_ROWS}")
         if self.spacing not in (LINEAR, LOGARITHMIC):
             raise ValueError(f"spacing must be {LINEAR!r} or {LOGARITHMIC!r}")
-        if not self.delay_spreads:
-            raise ValueError("at least one delay spread is required")
-        if not all(isinstance(d, cap.DelaySpread) for d in self.delay_spreads):
-            raise ValueError("delay_spreads must contain DelaySpread values")
-        if self.mode == cap.MOSTLY_DIGITAL and not self.sampling_factors:
-            raise ValueError("mostly_digital sweeps need at least one sampling factor")
-        if self.mode != cap.MOSTLY_DIGITAL and self.sampling_factors:
-            raise ValueError("sampling_factors apply to mostly_digital sweeps only")
-        if self.mode != cap.IDEAL and self.snr is not None:
-            raise ValueError("snr applies to ideal sweeps only")
-        if not self.outputs or any(o not in OUTPUTS for o in self.outputs):
-            raise ValueError(f"outputs must be a nonempty subset of {OUTPUTS}")
-        if self.mode == "ideal" and "derivative" in self.outputs:
-            raise ValueError("the derivative output is not defined in ideal mode")
 
     def grid(self):
         """The swept frequencies, a 1-D float array.  Raises ValueError if

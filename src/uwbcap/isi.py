@@ -406,8 +406,8 @@ def validate_assumption(
     target_d_rms: float,
     pulse_duration: float,
     guard_multiples=(1.0, 2.0, 3.0, 4.0, 5.0),
-    trials: int = 200,
-    rng_seed: int = 0,
+    trials: int | None = None,
+    rng_seed: int | None = None,
     *,
     tap_spacing: float | None = None,
     num_taps: int | None = None,
@@ -415,10 +415,12 @@ def validate_assumption(
 ) -> list:
     """Measure ISI spill at symbol periods ``pulse + k * d_RMS`` for each k.
 
-    Stochastic runs average over ``trials`` independently faded channels;
-    each trial's random stream derives from (rng_seed, trial index), so
-    results do not depend on evaluation order.  ``deterministic=True``
-    evaluates the fading-free profile instead (trials collapse to 1).
+    Stochastic runs average over ``trials`` (default 200) independently
+    faded channels; each trial's random stream derives from (rng_seed,
+    trial index), with ``rng_seed`` defaulting to 0, so results do not
+    depend on evaluation order.  ``deterministic=True`` evaluates the
+    fading-free profile instead (trials collapse to 1) and takes neither
+    ``trials`` nor ``rng_seed``.
 
     The grid defaults to 600 taps, d_RMS / 40 apart; with only
     ``tap_spacing`` given it covers ``ceil(15 * d_RMS / tap_spacing)`` taps.
@@ -436,20 +438,28 @@ def validate_assumption(
     Returns one ``IsiReport`` per guard multiple, in the given order.
 
     Raises:
-        ValueError: trials outside 1 to 10**6, a negative seed, or no guard
-            multiple.
+        ValueError: trials outside 1 to 10**6, a negative seed, trials or a
+            seed given to a deterministic run, or no guard multiple.
         DomainError: a delay spread, pulse duration or tap spacing that is
             not finite and > 0, a guard multiple that is not finite and
             >= 0 or whose symbol period overflows, a tap spacing so fine
             that the default grid would exceed 10**7 taps, or an
             infeasible discretization.
     """
+    given = [name for name, value in (("trials", trials), ("seed", rng_seed)) if value is not None]
+    trials = 200 if trials is None else trials
+    rng_seed = 0 if rng_seed is None else rng_seed
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > _MAX_TRIALS:
         raise ValueError(f"trials = {trials} exceeds the {_MAX_TRIALS} a validation may run")
     if rng_seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {rng_seed}")
+    if deterministic and given:
+        raise ValueError(
+            f"a deterministic run takes no {' or '.join(given)}: it evaluates the "
+            "fading-free profile once"
+        )
     if not guard_multiples:
         raise ValueError("at least one guard multiple is required")
     _require_finite_positive("delay spread", target_d_rms)

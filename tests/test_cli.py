@@ -381,6 +381,9 @@ class TestDatasetsCommand:
 # validate-isi
 # ---------------------------------------------------------------------------
 
+_DETERMINISTIC = "a deterministic run takes no {}: it evaluates the fading-free profile once"
+
+
 class TestValidateIsiCommand:
     def test_reports_and_monotonicity(self, capsys):
         reports = run_json(
@@ -464,6 +467,13 @@ class TestValidateIsiCommand:
             (("--trials", "0"), "trials must be >= 1"),
             (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
             (("--seed", "-1", "--deterministic"), "seed must be a non-negative integer, got -1"),
+            # --deterministic reported trials 1 whatever --trials and --seed said
+            (("--trials", "5", "--deterministic"), _DETERMINISTIC.format("trials")),
+            (("--seed", "3", "--deterministic"), _DETERMINISTIC.format("seed")),
+            (("--trials", "5000", "--seed", "3", "--deterministic"),
+             _DETERMINISTIC.format("trials or seed")),
+            (("--trials", "200", "--seed", "0", "--deterministic"),
+             _DETERMINISTIC.format("trials or seed")),
         ],
     )
     def test_bad_counts_exit_two_naming_the_input(self, capsys, argv, message):
@@ -471,6 +481,13 @@ class TestValidateIsiCommand:
             capsys, "validate-isi", "--delay-spread", "9ns", "--pulse-duration", "0.25ns", *argv
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_faded_defaults_are_200_trials_at_seed_0(self, capsys):
+        argv = ("validate-isi", "--delay-spread", "9ns", "--pulse-duration", "0.25ns",
+                "--guard-multiples", "1", "--format", "json")
+        implicit = run_json(capsys, *argv)
+        assert implicit[0]["trials"] == 200
+        assert implicit == run_json(capsys, *argv, "--trials", "200", "--seed", "0")
 
 
 # numpy overflows inside these runs, but their output is right
@@ -535,6 +552,22 @@ def test_sweep_rejects_an_snr_outside_ideal_mode(capsys, axis):
         capsys, "sweep", *axis, "--points", "2", "--delay-spreads", "1ns", "--snr-db", "-200",
         "--format", "csv",
     ) == (2, "", "error: snr applies to ideal sweeps only\n")
+
+
+# the sweep printed rates for a delay spread whose asymptote overflows, which
+# the capacity command rejects
+def test_sweep_rejects_a_subnormal_spread_as_capacity_does(capsys):
+    message = (
+        "domain error: delay spread 1e-320 s is too small: the asymptote multiplier / d "
+        "= 1.0 / 1e-320 overflows a float\n"
+    )
+    assert run(
+        capsys, "capacity", "mixed", "--fcircuit", "1GHz", "--delay-spread", "1e-320s"
+    ) == (3, "", message)
+    assert run(
+        capsys, "sweep", "--mode", "mixed", "--param", "fcircuit", "--from", "1GHz", "--to",
+        "2GHz", "--points", "2", "--delay-spreads", "1e-320s", "--format", "csv",
+    ) == (3, "", message)
 
 
 # the modulation enters digital and mixed mode only; binary and ideal sweeps
@@ -738,13 +771,16 @@ def _validate_isi_argv(draw):
         grid += ["--num-taps", str(draw(st.integers(1, 5000)))]
     guards = st.floats(0.0, 1e308) | st.sampled_from((1.0, math.nan))
     mode = ["--deterministic"] if draw(st.booleans()) else []
+    faded = []
+    # a deterministic run rejects --trials and --seed; one in ten passes them
+    if not mode or draw(st.integers(1, 10)) == 5:
+        faded = ["--trials", str(draw(st.integers(1, 4))), "--seed", str(draw(st.integers(0, 2**32)))]
     fmt = ["--format", draw(st.sampled_from(("human", "csv", "json")))]
     pulse = draw(_spreads | _nanoseconds)
     return [
         "validate-isi", "--delay-spread", spread, "--pulse-duration", pulse,
         "--guard-multiples", ",".join(map(repr, draw(st.lists(guards, min_size=1, max_size=3)))),
-        "--trials", str(draw(st.integers(1, 4))),
-        "--seed", str(draw(st.integers(0, 2**32))), *grid, *mode, *fmt,
+        *faded, *grid, *mode, *fmt,
     ]
 
 

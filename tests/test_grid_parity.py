@@ -29,13 +29,20 @@ _PARAMETER = {
 
 def scalar_rows(mode, frequencies, delay_spreads, sampling_factors, modulation, snr, outputs):
     """One dict per (d, n, f) point, in that nesting order, from scalar calls.
-    Only the ideal model takes an SNR, and only the digital and mixed models
-    a modulation; the other modes' scalar functions have no such argument,
-    so one given to them is rejected."""
+    Only the digital model takes a sampling factor, only the ideal model an
+    SNR, and only the digital and mixed models a modulation; the other
+    modes' scalar functions have no such argument, so one given to them is
+    rejected.  No scalar function gives the derivative of the ideal model's
+    capacity (``capacity_derivative`` carries no Shannon factor), so that
+    is rejected too."""
+    if mode != cap.MOSTLY_DIGITAL and sampling_factors:
+        raise ValueError("sampling_factors apply to mostly_digital sweeps only")
     if mode != cap.IDEAL and snr is not None:
         raise ValueError("snr applies to ideal sweeps only")
     if mode in (cap.IDEAL, cap.BINARY) and modulation != cap.ModulationScheme():
         raise ValueError("modulation applies to mostly_digital and mixed sweeps only")
+    if mode == cap.IDEAL and "derivative" in outputs:
+        raise ValueError("the derivative output is not defined in ideal mode")
     digital = mode == cap.MOSTLY_DIGITAL
     snr = cap.SnrValue(cap.BINARY_SNR_LINEAR) if snr is None else snr
     ratio_mode = cap.MOSTLY_DIGITAL if digital else cap.MIXED
@@ -162,10 +169,22 @@ def test_levels_write_what_plain_arrays_write(spec, chunk_rows):
 frequencies = st.lists(
     st.floats(1e6, 1e12) | st.sampled_from((0.0, -0.0, -2e9)), min_size=1, max_size=6
 )
+# 0 leaves the asymptote unbounded; subnormal spreads overflow it
 spreads = st.lists(
-    (st.floats(1e-12, 1e-6) | st.just(0.0)).map(cap.DelaySpread), min_size=1, max_size=3
+    (st.floats(1e-12, 1e-6) | st.sampled_from((0.0, 1e-320, 5e-324))).map(cap.DelaySpread),
+    min_size=1, max_size=3,
 )
 factor_lists = st.lists(st.sampled_from((1.0, 1.5, 2.0, 4.0, 6.5)), min_size=1, max_size=3)
+# shared: within one example, every draw from it gives the same mode
+grid_modes = st.shared(st.sampled_from(cap.MODES), key="grid mode")
+
+
+def _factors_for(mode):
+    """Sampling factors for a digital grid; none for the other modes, except
+    one grid in ten, which breaks that rule."""
+    if mode == cap.MOSTLY_DIGITAL:
+        return factor_lists
+    return st.integers(1, 10).flatmap(lambda i: factor_lists if i == 5 else st.just([]))
 
 
 def _example(freqs, spreads_s, factors, outputs):
@@ -177,7 +196,7 @@ def _example(freqs, spreads_s, factors, outputs):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(cap.MODES), frequencies, spreads, factor_lists,
+    grid_modes, frequencies, spreads, grid_modes.flatmap(_factors_for),
     modulations, snrs, output_sets,
 )
 @_example([1e9, 0.0], [1e-9], [4.0], ["capacity"])
@@ -196,28 +215,28 @@ def _example(freqs, spreads_s, factors, outputs):
 @_example([1e9, 1e-320], [1e-9], [4.0], ["percent_of_max"])
 @_example([1e9, 1e-320], [1e-9], [4.0], ["capacity", "derivative"])
 @example(
-    cap.MIXED, [1e9, 1e-160], [cap.DelaySpread(1e-9)], [1.0], cap.ModulationScheme(),
+    cap.MIXED, [1e9, 1e-160], [cap.DelaySpread(1e-9)], [], cap.ModulationScheme(),
     None, ["derivative"],
 )
 @example(
-    cap.MIXED, [1e9, 1e162], [cap.DelaySpread(0.0)], [1.0], cap.ModulationScheme(),
+    cap.MIXED, [1e9, 1e162], [cap.DelaySpread(0.0)], [], cap.ModulationScheme(),
     None, ["derivative"],
 )
 # and a (n/F)/F or a derivative below the normal range
 @example(
-    cap.MIXED, [1e9, 1e160], [cap.DelaySpread(1e-9)], [1.0], cap.ModulationScheme(),
+    cap.MIXED, [1e9, 1e160], [cap.DelaySpread(1e-9)], [], cap.ModulationScheme(),
     None, ["derivative"],
 )
 @example(
-    cap.MIXED, [1e9, 1e163], [cap.DelaySpread(1e-9)], [1.0], cap.ModulationScheme(),
+    cap.MIXED, [1e9, 1e163], [cap.DelaySpread(1e-9)], [], cap.ModulationScheme(),
     None, ["capacity", "derivative"],
 )
 @example(
-    cap.MIXED, [1e9], [cap.DelaySpread(1e-9)], [1.0], cap.ModulationScheme(10**308),
+    cap.MIXED, [1e9], [cap.DelaySpread(1e-9)], [], cap.ModulationScheme(10**308),
     None, ["capacity"],
 )
 @example(
-    cap.BINARY, [1e9, 1.7976931348623157e308], [cap.DelaySpread(0.0)], [1.0],
+    cap.BINARY, [1e9, 1.7976931348623157e308], [cap.DelaySpread(0.0)], [],
     cap.ModulationScheme(), None, ["capacity"],
 )
 def test_grid_raises_what_the_scalar_path_raises(
@@ -251,3 +270,83 @@ def test_grid_rejects_an_snr_outside_ideal_mode():
             cap.capacity_grid(
                 mode, [1e9], [cap.DelaySpread(1e-9)], factors, snr=cap.SnrValue.from_db(-200)
             )
+
+
+# each was accepted and ignored, or failed with an AttributeError
+@pytest.mark.parametrize(
+    "mode, delay_spreads, factors, outputs, message",
+    [
+        (cap.MIXED, [cap.DelaySpread(1e-9)], (4.0,), ("capacity",),
+         "sampling_factors apply to mostly_digital sweeps only"),
+        (cap.MIXED, [cap.DelaySpread(1e-9)], (), (),
+         r"outputs must be a nonempty subset of \("),
+        (cap.MOSTLY_DIGITAL, [cap.DelaySpread(1e-9)], (), ("capacity",),
+         "mostly_digital sweeps need at least one sampling factor"),
+        (cap.MIXED, [1e-9], (), ("capacity",), "delay_spreads must contain DelaySpread values"),
+        (cap.IDEAL, [cap.DelaySpread(1e-9)], (), ("derivative",),
+         "the derivative output is not defined in ideal mode"),
+    ],
+    ids=["mixed-factors", "no-outputs", "digital-no-factors", "raw-spreads", "ideal-derivative"],
+)
+def test_grid_rejects_what_it_ignored(mode, delay_spreads, factors, outputs, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        cap.capacity_grid(mode, [1e9], delay_spreads, factors, outputs=outputs)
+
+
+def test_grid_takes_sampling_factors_as_any_sequence():
+    args = (cap.MOSTLY_DIGITAL, [1e9], [cap.DelaySpread(1e-9)])
+    assert cap.capacity_grid(*args, np.array([2.0, 4.0]))["capacity"].tolist() == (
+        cap.capacity_grid(*args, [2.0, 4.0])["capacity"].tolist()
+    )
+
+
+@st.composite
+def grid_arguments(draw):
+    """(mode, delay spreads, sampling factors, modulation, snr, outputs),
+    each breaking its rule about one time in five."""
+    mode = draw(st.sampled_from(cap.MODES))
+
+    def breaks():
+        return draw(st.integers(1, 5)) == 3  # not an end, which hypothesis favours
+
+    spreads_ = draw(st.lists(st.floats(1e-12, 1e-6).map(cap.DelaySpread), min_size=1, max_size=3))
+    if breaks():
+        spreads_ = draw(st.sampled_from(([], spreads_ + [1e-9])))
+    digital = mode == cap.MOSTLY_DIGITAL
+    factors = draw(st.lists(st.floats(2.0, 16.0), min_size=1, max_size=3)) if digital else []
+    if breaks():
+        factors = [] if digital else [4.0]
+    snr = draw(snrs) if mode == cap.IDEAL else None
+    if breaks():
+        snr = cap.SnrValue(10.0)
+    modulation = (
+        draw(modulations) if mode in (cap.MOSTLY_DIGITAL, cap.MIXED) else cap.ModulationScheme()
+    )
+    if breaks():
+        modulation = cap.ModulationScheme(4)
+    outputs = draw(output_sets.filter(lambda o: mode != cap.IDEAL or "derivative" not in o))
+    if breaks():
+        outputs = draw(st.sampled_from(([], outputs + ["slope"], ["derivative"])))
+    if breaks():
+        mode = "digital"  # the CLI's name, not a capacity mode
+    return mode, spreads_, factors, modulation, snr, outputs
+
+
+# SweepSpec's own rules (axis, points, spacing) all hold here, and every
+# point of the grid is in the domain, so only the shared rules can reject
+@settings(max_examples=100, deadline=None)
+@given(grid_arguments())
+@example((cap.IDEAL, [cap.DelaySpread(1e-9)], [], cap.ModulationScheme(), None, ["derivative"]))
+@example((cap.BINARY, [cap.DelaySpread(1e-9)], [], cap.ModulationScheme(8), None, ["capacity"]))
+def test_sweep_spec_accepts_what_the_grid_accepts(arguments):
+    mode, delay_spreads, factors, modulation, snr, outputs = arguments
+    _, spec_exc = outcome(lambda: SweepSpec(
+        mode=mode, swept_parameter=_PARAMETER.get(mode, "bandwidth"), start_hz=1e9,
+        stop_hz=2e9, points=2, delay_spreads=tuple(delay_spreads),
+        sampling_factors=tuple(factors), modulation=modulation, snr=snr, outputs=tuple(outputs),
+    ))
+    _, grid_exc = outcome(lambda: cap.capacity_grid(
+        mode, [1e9, 2e9], delay_spreads, factors, modulation, snr, outputs
+    ))
+    assert type(spec_exc) is type(grid_exc)
+    assert str(spec_exc) == str(grid_exc)
